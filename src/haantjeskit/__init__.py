@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 
 from .symalg import (Monomial, Poly, VarId, parse_poly, var,
                      LogarithmicTerm, NonInvertibleSubstitution, ParseError)
-from .tensor import (Metric, TensorField, SlotKindMismatch, contract,
-                     hessian_operator, partial_derivative, raise_lower,
-                     sym_antisym, tensor_product)
-from .haantjes import (ConservationResidual, OperatorField, conservation_check,
-                       haantjes, is_haantjes_zero, nijenhuis)
+from .tensor import TensorField, hessian_operator, partial_derivative
+from .haantjes import (ConservationResidual, OperatorField, as_operator,
+                       conservation_check, haantjes, is_haantjes_zero,
+                       nijenhuis)
 from .killing import (EmptyFamily, KillingBasis, KillingFamily, PotentialSpec,
                       UnsupportedDimension, catalog, compatible_family,
                       killing_residual, killing_space, symmetric_product)

@@ -6,8 +6,11 @@ abundant-system Haantjes formula, and randomized algebraic property
 suites.
 
 Every check returns a CheckResult with verdict "pass", "fail" or
-"evidence-only".  The command-line front end aggregates the results
-into a report; the acceptance tests assert on them individually.
+"evidence-only".  The suite (run_all), the per-system pipelines
+(run_system) and the Hessian report all call checks through run_check,
+which records each check's wall time; the command-line front end only
+aggregates the results into a report, and the acceptance tests assert
+on them individually.
 """
 
 from __future__ import annotations
@@ -19,18 +22,18 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .haantjes import (OperatorField, conservation_check, haantjes,
-                       is_haantjes_zero, nijenhuis)
+from .haantjes import (OperatorField, as_operator, conservation_check,
+                       haantjes, is_haantjes_zero, nijenhuis)
 from .ideals import (Ideal, buchberger, default_order, haantjes_zero_ideal,
                      hilbert_dimension, ideal_equal, linear_factor, member,
                      normal_form, radical_member, s_polynomial)
 from .killing import (catalog, compatible_family, family_operator,
-                      killing_space, span_equal)
+                      killing_residual, killing_space, span_equal)
 from .mechanics import (PhaseFunction, abundant_haantjes, build_integral,
                         condition_6b, functional_independence, haantjes_at,
                         hamiltonian, poisson, random_rational,
                         structural_tensor_at)
-from .symalg import Monomial, Poly, VarId, parse_poly, var
+from .symalg import Poly, VarId, parse_poly, var
 from .tensor import TensorField, hessian_operator
 
 
@@ -48,6 +51,22 @@ SW1_IDEAL_COFACTORS = ["b4", "b5 + b6", "b3 - b2", "b1 - b2", "b6"]
 # families of constants of motion.
 OO_RADICAL_TEXT = "b1*b4*b6 - b2*b4*b6 - b4^2*b5 + b5*b6^2"
 IV_RADICAL_TEXT = "b1*b4*b5 - b2*b4*b5 + b4^2*b6 - b1*b5*b6 + b3*b5*b6 - b4*b6^2"
+
+# One entry per catalog system: the generator of the radical of its
+# Haantjes-zero ideal (None where that ideal is zero) and the named
+# checks that replace a generic system action for it.
+SYSTEMS: Dict[str, Tuple[Optional[str], Dict[str, str]]] = {
+    "sw1": (J_TEXT, {"family": "sw1-compatible-family",
+                     "ideal": "sw1-haantjes-zero-ideal",
+                     "radical-check": "sw1-radical-generator",
+                     "linear-subspace": "sw1-no-linear-subspace",
+                     "branches": "sw1-branch-substitutions"}),
+    "oscillator": (None, {"family": "oscillator-all-haantjes-zero",
+                          "ideal": "oscillator-haantjes-zero-ideal"}),
+    "oo": (OO_RADICAL_TEXT, {}),
+    "iv": (IV_RADICAL_TEXT, {}),
+    "nonmaximal-3d": (None, {"mechanics": "nonmaximal-radial-mechanics"}),
+}
 
 # Solution branches of {J = 0}: each entry substitutes parameters and
 # must annihilate J identically.  The generic branch solves J for b1
@@ -119,8 +138,14 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _j_poly() -> Poly:
-    return parse_poly(J_TEXT)
+def run_check(fn: Callable[..., CheckResult], *args, **kwargs) -> CheckResult:
+    """Call a check and set its `seconds` to the wall time the call
+    took.  This is the one place where checks are timed: a check called
+    directly reports 0.0."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    result.seconds = time.perf_counter() - t0
+    return result
 
 
 def _b_order():
@@ -132,7 +157,7 @@ def _b_binding(values) -> Dict[VarId, Fraction]:
 
 
 def sw1_reference_ideal() -> Ideal:
-    j = _j_poly()
+    j = parse_poly(J_TEXT)
     return Ideal([parse_poly(s) * j for s in SW1_IDEAL_COFACTORS], _b_order())
 
 
@@ -142,7 +167,6 @@ def sw1_reference_ideal() -> Ideal:
 def check_hessian_cubic() -> CheckResult:
     """haantjes(hessian(x1^3)) = 0 and the four coordinate/generator
     conservation laws hold."""
-    t0 = time.time()
     f = parse_poly("x1^3")
     op = OperatorField(hessian_operator(f, 3))
     zero, witness = is_haantjes_zero(op)
@@ -154,7 +178,6 @@ def check_hessian_cubic() -> CheckResult:
         verdict=_verdict(ok),
         detail="Hessian of x1^3 is Haantjes-zero with 4 conservation laws",
         payload={"haantjes_zero": zero, "conserved": conserved},
-        seconds=time.time() - t0,
     )
 
 
@@ -162,7 +185,6 @@ def check_hessian_mixed() -> CheckResult:
     """The Hessian of x1^3 + x1*x2*x3 must reproduce the published
     component table: H^b_32 = -H^b_23 = 2*x1*(x1^2 - x2^2), all other
     components zero."""
-    t0 = time.time()
     f = parse_poly("x1^3 + x1*x2*x3")
     h = haantjes(OperatorField(hessian_operator(f, 3)))
     claim = parse_poly(HESSIAN_MIXED_CLAIM)
@@ -179,18 +201,48 @@ def check_hessian_mixed() -> CheckResult:
         detail="published component table for the Hessian of x1^3 + x1*x2*x3",
         payload={"expected_nonzero": HESSIAN_MIXED_CLAIM,
                  "computed_nonzero": nonzero},
-        seconds=time.time() - t0,
     )
+
+
+def check_hessian_torsion(poly_text: str, n: int) -> CheckResult:
+    """The Hessian operator of a polynomial on R^n: conservation
+    residuals for the coordinates and the generator itself, both
+    torsions, and the Haantjes zero/nonzero verdict with witness."""
+    f = parse_poly(poly_text)
+    op = OperatorField(hessian_operator(f, n))
+    payload: Dict[str, object] = {
+        "operator": [str(c) for c in op.tensor.components],
+    }
+    generators = [Poly.variable(var(f"x{k + 1}")) for k in range(n)] + [f]
+    payload["conservation_generators"] = [str(u) for u in generators]
+    payload["conserved"] = [conservation_check(op, u).is_conserved()
+                            for u in generators]
+    n_t = nijenhuis(op)
+    h_t = haantjes(op)
+    payload["nijenhuis_nonzero"] = {
+        f"N^{i+1}_{j+1}{k+1}": str(n_t[(i, j, k)])
+        for (i, j, k) in n_t.indices() if not n_t[(i, j, k)].is_zero()}
+    payload["haantjes_nonzero"] = {
+        f"H^{i+1}_{j+1}{k+1}": str(h_t[(i, j, k)])
+        for (i, j, k) in h_t.indices() if not h_t[(i, j, k)].is_zero()}
+    zero, witness = is_haantjes_zero(op)
+    payload["haantjes_zero"] = zero
+    if witness is not None:
+        i, j, k, component = witness
+        payload["witness"] = f"H^{i}_{j}{k} = {component}"
+    return CheckResult(name="hessian-torsion", verdict="evidence-only",
+                       detail=("Haantjes torsion vanishes" if zero else
+                               "Haantjes torsion is nonzero"),
+                       payload=payload)
 
 
 # ---- Killing spaces and compatible families ---------------------------
 
 
 def check_killing_dimensions() -> CheckResult:
-    t0 = time.time()
     dims = {n: len(killing_space(n)) for n in (2, 3)}
     residuals_zero = all(
-        all(conservation_residual_is_killing(k) for k in killing_space(n).elements)
+        all(killing_residual(k).is_zero() for k in killing_space(n).elements)
         for n in (2, 3))
     ok = dims == {2: 6, 3: 20} and residuals_zero
     return CheckResult(
@@ -199,20 +251,13 @@ def check_killing_dimensions() -> CheckResult:
         detail="valence-2 Killing spaces: dim 6 (n=2), dim 20 (n=3)",
         payload={"dimensions": {str(k): v for k, v in dims.items()},
                  "all_killing": residuals_zero},
-        seconds=time.time() - t0,
     )
-
-
-def conservation_residual_is_killing(k: TensorField) -> bool:
-    from .killing import killing_residual
-    return killing_residual(k).is_zero()
 
 
 def check_sw1_family() -> CheckResult:
     """The maximal Killing family compatible with the radial potential
     generators is 6-dimensional and spans the documented parametrized
     matrix."""
-    t0 = time.time()
     pot, reference = catalog()["sw1"]
     fam = compatible_family(killing_space(3), pot)
     ok = (len(fam.params) == 6
@@ -223,7 +268,6 @@ def check_sw1_family() -> CheckResult:
         verdict=_verdict(ok),
         detail="radial system: 6-parameter compatible Killing family",
         payload={"parameters": len(fam.params)},
-        seconds=time.time() - t0,
     )
 
 
@@ -231,10 +275,9 @@ def check_sw1_family() -> CheckResult:
 
 
 def check_sw1_ideal() -> CheckResult:
-    t0 = time.time()
     _, fam = catalog()["sw1"]
     computed = haantjes_zero_ideal(fam)
-    j = _j_poly()
+    j = parse_poly(J_TEXT)
     reference = sw1_reference_ideal()
     principal = Ideal([j], _b_order())
     equal = ideal_equal(computed, reference)
@@ -250,16 +293,30 @@ def check_sw1_ideal() -> CheckResult:
         payload={"ideal_equal": equal, "generators_divisible_by_J": divisible,
                  "J_in_ideal": j_member, "J_in_radical": j_radical,
                  "hilbert_dimension": dim},
-        seconds=time.time() - t0,
     )
+
+
+def check_sw1_radical_generator() -> CheckResult:
+    """J lies in the radical of the Haantjes-zero ideal but not in the
+    ideal itself."""
+    _, fam = catalog()["sw1"]
+    ideal = haantjes_zero_ideal(fam)
+    j = parse_poly(J_TEXT)
+    payload = {"radical_generator": J_TEXT,
+               "J_in_ideal": member(j, ideal),
+               "J_in_radical": radical_member(j, ideal)}
+    ok = payload["J_in_radical"] and not payload["J_in_ideal"]
+    return CheckResult(
+        name="sw1-radical-generator", verdict=_verdict(ok),
+        detail="radical of the Haantjes-zero ideal is principal, <J>",
+        payload=payload)
 
 
 def check_sw1_radical_primality() -> CheckResult:
     """Primality of <J> is reported as supporting evidence only: the
     toolkit certifies the dimension and the absence of linear factors
     but implements no primality test."""
-    t0 = time.time()
-    j = _j_poly()
+    j = parse_poly(J_TEXT)
     dim = hilbert_dimension(Ideal([j], _b_order()))
     factors = [str(f) for f in linear_factor(j)]
     return CheckResult(
@@ -267,7 +324,6 @@ def check_sw1_radical_primality() -> CheckResult:
         verdict="evidence-only",
         detail="dim 5 and no linear factor support (but do not certify) primality of <J>",
         payload={"hilbert_dimension": dim, "linear_factors": factors},
-        seconds=time.time() - t0,
     )
 
 
@@ -281,9 +337,8 @@ def check_sw1_specialization() -> CheckResult:
     normalizations, and to have J != 0.  The displayed matrix is
     reproduced exactly at the parameter vector that generates it.
     """
-    t0 = time.time()
     _, fam = catalog()["sw1"]
-    j = _j_poly()
+    j = parse_poly(J_TEXT)
     display = TensorField.from_matrix(
         [[parse_poly(s) for s in row] for row in DISPLAY_MATRIX])
     results: Dict[str, object] = {}
@@ -292,7 +347,7 @@ def check_sw1_specialization() -> CheckResult:
     for label, values in (("stated", STATED_B), ("display", DISPLAY_B)):
         binding = _b_binding(values)
         k = fam.specialize(binding)
-        h = haantjes(OperatorField(TensorField(3, (1, 1), list(k.components))))
+        h = haantjes(as_operator(k))
         nonzero_all = all(
             any(not h[(i, jj, kk)].is_zero() for i in range(3))
             for jj in range(3) for kk in range(3) if jj != kk)
@@ -308,15 +363,13 @@ def check_sw1_specialization() -> CheckResult:
         verdict=_verdict(ok),
         detail="specialized member: H nonzero for all j != k, 6b fails, J != 0",
         payload=results,
-        seconds=time.time() - t0,
     )
 
 
 def check_sw1_branches() -> CheckResult:
     """Every listed solution branch annihilates J; the generic branch
     is verified as a denominator-cleared polynomial identity."""
-    t0 = time.time()
-    j = _j_poly()
+    j = parse_poly(J_TEXT)
     outcomes: Dict[str, bool] = {}
     for label, sub in BRANCH_SUBSTITUTIONS:
         binding = {var(k): parse_poly(v) for k, v in sub.items()}
@@ -334,20 +387,17 @@ def check_sw1_branches() -> CheckResult:
         verdict=_verdict(ok),
         detail="all solution branches annihilate J exactly",
         payload={"branches": outcomes},
-        seconds=time.time() - t0,
     )
 
 
 def check_sw1_linear_subspace() -> CheckResult:
-    t0 = time.time()
-    factors = [str(f) for f in linear_factor(_j_poly())]
+    factors = [str(f) for f in linear_factor(parse_poly(J_TEXT))]
     ok = factors == []
     return CheckResult(
         name="sw1-no-linear-subspace",
         verdict=_verdict(ok),
         detail="J has no linear factor: no 5-dim linear subspace inside {J = 0}",
         payload={"linear_factors": factors},
-        seconds=time.time() - t0,
     )
 
 
@@ -358,7 +408,6 @@ def check_oscillator(seed: int = 0, points: int = 5) -> CheckResult:
     """Oscillator: every compatible Killing tensor is a constant
     symmetric matrix, the Haantjes-zero ideal is zero, and the
     structural tensor vanishes at random points."""
-    t0 = time.time()
     pot, reference = catalog()["oscillator"]
     fam = compatible_family(killing_space(3), pot)
     six_constant = (len(fam.params) == 6
@@ -375,8 +424,17 @@ def check_oscillator(seed: int = 0, points: int = 5) -> CheckResult:
         detail="constant compatible family, zero ideal, zero structural tensor",
         payload={"constant_family": six_constant, "ideal_zero": ideal_zero,
                  "structural_tensor_zero": p_zero, "points": points},
-        seconds=time.time() - t0,
     )
+
+
+def check_oscillator_ideal() -> CheckResult:
+    _, fam = catalog()["oscillator"]
+    ideal = haantjes_zero_ideal(fam)
+    ok = ideal.generators == []
+    return CheckResult(
+        name="oscillator-haantjes-zero-ideal", verdict=_verdict(ok),
+        detail="zero ideal: all compatible Killing tensors Haantjes-zero",
+        payload={"generators": [str(g) for g in ideal.generators]})
 
 
 def _radical_protocol(name: str, radical_text: str) -> Tuple[bool, Dict[str, object]]:
@@ -396,7 +454,6 @@ def _radical_protocol(name: str, radical_text: str) -> Tuple[bool, Dict[str, obj
 
 
 def check_oo_iv_radicals() -> CheckResult:
-    t0 = time.time()
     ok_oo, oo = _radical_protocol("oo", OO_RADICAL_TEXT)
     ok_iv, iv = _radical_protocol("iv", IV_RADICAL_TEXT)
     ok = ok_oo and ok_iv
@@ -405,7 +462,6 @@ def check_oo_iv_radicals() -> CheckResult:
         verdict=_verdict(ok),
         detail="OO/IV ideals have the documented principal radicals, dim 5",
         payload={"oo": oo, "iv": iv},
-        seconds=time.time() - t0,
     )
 
 
@@ -437,7 +493,6 @@ def check_nonmaximal_mechanics(seed: int = 0, trials: int = 10) -> CheckResult:
     reference integrals are reproduced exactly, Poisson-commute with
     the Hamiltonian, the joint rank of {H, F1, F2, F3, F5} is 5, and
     the four-parameter Killing family is identically Haantjes-zero."""
-    t0 = time.time()
     pot, fam, coeffs, integrals = _nonmaximal_integrals()
     goldens = {label: integrals[label].poly == parse_poly(text)
                for label, text in F_GOLDENS.items()}
@@ -456,7 +511,6 @@ def check_nonmaximal_mechanics(seed: int = 0, trials: int = 10) -> CheckResult:
         payload={"integrals_match": goldens, "poisson_commute": commute,
                  "rank_H_F1_F2_F3_F5": rank, "expected_rank": 5,
                  "family_haantjes_zero": family_zero},
-        seconds=time.time() - t0,
     )
 
 
@@ -468,7 +522,6 @@ def check_abundant_formula(seed: int = 0, assignments: int = 3,
     """The structural-tensor expression for the Haantjes torsion agrees
     with the direct computation on random members of the radial family
     at random rational points."""
-    t0 = time.time()
     _, fam = catalog()["sw1"]
     rng = random.Random(seed)
     checked = 0
@@ -488,7 +541,6 @@ def check_abundant_formula(seed: int = 0, assignments: int = 3,
         detail="structural-tensor Haantjes formula matches the direct torsion",
         payload={"assignments": assignments, "points": points,
                  "comparisons": checked},
-        seconds=time.time() - t0,
     )
 
 
@@ -516,7 +568,6 @@ def check_torsion_properties(seed: int = 0, count: int = 50) -> CheckResult:
     """Antisymmetry in the lower index pair, quadratic/quartic scaling
     under A -> c*A, and the universal two-dimensional vanishing of the
     Haantjes torsion."""
-    t0 = time.time()
     rng = random.Random(seed)
     antisym = scaling = True
     for _ in range(max(5, count // 10)):
@@ -539,14 +590,12 @@ def check_torsion_properties(seed: int = 0, count: int = 50) -> CheckResult:
         detail="antisymmetry, c^2/c^4 scaling, 2D Haantjes vanishing",
         payload={"antisymmetry": antisym, "scaling": scaling,
                  "planar_vanishing": planar, "planar_samples": count},
-        seconds=time.time() - t0,
     )
 
 
 def check_poisson_jacobi(seed: int = 0, count: int = 50) -> CheckResult:
     """Jacobi identity for the canonical Poisson bracket on random
     polynomial triples."""
-    t0 = time.time()
     rng = random.Random(seed)
     names = [var(f"x{i}") for i in (1, 2)] + [var(f"p{i}") for i in (1, 2)]
     ok = True
@@ -562,14 +611,12 @@ def check_poisson_jacobi(seed: int = 0, count: int = 50) -> CheckResult:
         verdict=_verdict(ok),
         detail="Jacobi identity on random polynomial triples",
         payload={"triples": count},
-        seconds=time.time() - t0,
     )
 
 
 def check_groebner_confluence() -> CheckResult:
     """Every computed Groebner basis reduces all of its S-polynomials
     to zero (Buchberger's criterion)."""
-    t0 = time.time()
     order = _b_order()
     bases = {}
     for name in ("sw1", "oo", "iv"):
@@ -589,8 +636,141 @@ def check_groebner_confluence() -> CheckResult:
         verdict=_verdict(ok),
         detail="all S-polynomials of every computed basis reduce to zero",
         payload={"bases": {k: len(v) for k, v in bases.items()}},
-        seconds=time.time() - t0,
     )
+
+
+# ---- system pipelines -------------------------------------------------
+#
+# A system action runs the named check that SYSTEMS lists for it, or
+# else the generic action below, called with the system's name and
+# radical generator.
+
+
+class UnknownSystem(Exception):
+    """Requested system, or action of a system, is not in the catalog."""
+
+
+SYSTEM_ACTIONS = ("family", "ideal", "radical-check", "dimension",
+                  "linear-subspace", "branches", "mechanics")
+
+
+def _action_family(name: str, radical: Optional[str], seed: int,
+                   trials: Optional[int]) -> CheckResult:
+    pot, _ = catalog()[name]
+    fam = compatible_family(killing_space(3), pot)
+    return CheckResult(
+        name=f"{name}-compatible-family", verdict="evidence-only",
+        detail=f"maximal compatible Killing family of the {name} system",
+        payload={"parameters": len(fam.params),
+                 "matrix": [[str(fam.tensor[(i, j)]) for j in range(3)]
+                            for i in range(3)]})
+
+
+def _action_ideal(name: str, radical: Optional[str], seed: int,
+                  trials: Optional[int]) -> CheckResult:
+    _, fam = catalog()[name]
+    ideal = haantjes_zero_ideal(fam)
+    return CheckResult(
+        name=f"{name}-haantjes-zero-ideal", verdict="evidence-only",
+        detail=f"Haantjes-zero ideal of the {name} family",
+        payload={"generators": [str(g) for g in ideal.generators]})
+
+
+def _action_radical(name: str, radical: Optional[str], seed: int,
+                    trials: Optional[int]) -> CheckResult:
+    if radical is None:
+        return CheckResult(
+            name=f"{name}-radical-generator", verdict="evidence-only",
+            detail="zero ideal: radical is trivially zero", payload={})
+    ok, payload = _radical_protocol(name, radical)
+    payload["radical_generator"] = radical
+    return CheckResult(
+        name=f"{name}-radical-generator", verdict=_verdict(ok),
+        detail=f"principal radical of the {name} Haantjes-zero ideal",
+        payload=payload)
+
+
+def _action_dimension(name: str, radical: Optional[str], seed: int,
+                      trials: Optional[int]) -> CheckResult:
+    if radical is None:
+        return CheckResult(
+            name=f"{name}-hilbert-dimension", verdict="evidence-only",
+            detail="zero ideal: the full parameter space (dimension 6)",
+            payload={"dimension": 6})
+    dim = hilbert_dimension(Ideal([parse_poly(radical)], _b_order()))
+    return CheckResult(
+        name=f"{name}-hilbert-dimension", verdict=_verdict(dim == 5),
+        detail="Hilbert dimension of the radical Haantjes-zero ideal",
+        payload={"dimension": dim})
+
+
+def _action_linear(name: str, radical: Optional[str], seed: int,
+                   trials: Optional[int]) -> CheckResult:
+    if radical is None:
+        return CheckResult(
+            name=f"{name}-no-linear-subspace", verdict="evidence-only",
+            detail="zero ideal: every linear subspace is Haantjes-zero",
+            payload={})
+    factors = [str(f) for f in linear_factor(parse_poly(radical))]
+    return CheckResult(
+        name=f"{name}-no-linear-subspace", verdict=_verdict(factors == []),
+        detail="radical generator has no linear factor",
+        payload={"linear_factors": factors})
+
+
+def _action_mechanics(name: str, radical: Optional[str], seed: int,
+                      trials: Optional[int]) -> CheckResult:
+    pot, fam = catalog()[name]
+    coeffs = {r: Poly.variable(var(f"a{r}"))
+              for r in range(len(pot.generators))}
+    h = hamiltonian(pot, coeffs)
+    integrals = [build_integral(k, pot, coeffs) for k in fam.basis()]
+    commute = [poisson(h, f).poly.is_zero() for f in integrals]
+    rank = functional_independence([h] + integrals, trials=trials or 10,
+                                   seed=seed)
+    return CheckResult(
+        name=f"{name}-mechanics", verdict=_verdict(all(commute)),
+        detail="all family integrals Poisson-commute with the Hamiltonian",
+        payload={"integrals": [str(f) for f in integrals],
+                 "poisson_commute": commute,
+                 "functional_rank": rank})
+
+
+_GENERIC_ACTIONS = {
+    "family": _action_family,
+    "ideal": _action_ideal,
+    "radical-check": _action_radical,
+    "dimension": _action_dimension,
+    "linear-subspace": _action_linear,
+    "mechanics": _action_mechanics,
+}
+
+
+def system_actions(name: str, actions: Sequence[str]) -> List[str]:
+    """The actions to run for a catalog system: `actions`, or every
+    action the system offers when it is empty.  Raises UnknownSystem,
+    before anything runs, for an unknown system or action."""
+    if name not in SYSTEMS:
+        raise UnknownSystem(
+            f"unknown system {name!r}; available: {sorted(SYSTEMS)}")
+    overrides = SYSTEMS[name][1]
+    offered = [a for a in SYSTEM_ACTIONS
+               if a in _GENERIC_ACTIONS or a in overrides]
+    for action in actions:
+        if action not in offered:
+            raise UnknownSystem(f"unknown action {action!r} for {name}; "
+                                f"available: {offered}")
+    return list(actions) or offered
+
+
+def run_system(name: str, actions: Sequence[str], seed: int = 0,
+               trials: Optional[int] = None) -> List[CheckResult]:
+    """Run actions of a catalog system, as returned by system_actions,
+    in the given order."""
+    radical, overrides = SYSTEMS[name]
+    return [run_named(overrides[action], seed, trials) if action in overrides
+            else run_check(_GENERIC_ACTIONS[action], name, radical, seed, trials)
+            for action in actions]
 
 
 # ---- aggregation ------------------------------------------------------
@@ -614,6 +794,12 @@ ALL_CHECKS: List[Tuple[str, Callable[..., CheckResult]]] = [
     ("groebner-s-pair-confluence", check_groebner_confluence),
 ]
 
+# Checks that only a system pipeline runs.
+SYSTEM_CHECKS: List[Tuple[str, Callable[..., CheckResult]]] = [
+    ("sw1-radical-generator", check_sw1_radical_generator),
+    ("oscillator-haantjes-zero-ideal", check_oscillator_ideal),
+]
+
 _SEEDED = {"oscillator-all-haantjes-zero", "nonmaximal-radial-mechanics",
            "abundant-haantjes-formula", "torsion-property-suite",
            "poisson-jacobi-identity"}
@@ -622,15 +808,18 @@ _TRIALED = {"nonmaximal-radial-mechanics": "trials",
             "poisson-jacobi-identity": "count"}
 
 
+def run_named(name: str, seed: int = 0,
+              trials: Optional[int] = None) -> CheckResult:
+    """Run the check registered under `name`; `trials` overrides the
+    number of sample points / random cases where the check draws them."""
+    kwargs: Dict[str, object] = {}
+    if name in _SEEDED:
+        kwargs["seed"] = seed
+    if trials is not None and name in _TRIALED:
+        kwargs[_TRIALED[name]] = trials
+    return run_check(dict(ALL_CHECKS + SYSTEM_CHECKS)[name], **kwargs)
+
+
 def run_all(seed: int = 0, trials: Optional[int] = None) -> List[CheckResult]:
-    """Run every check in fixed order; `trials` overrides the number of
-    sample points / random cases where a check draws them."""
-    results = []
-    for name, fn in ALL_CHECKS:
-        kwargs = {}
-        if name in _SEEDED:
-            kwargs["seed"] = seed
-        if trials is not None and name in _TRIALED:
-            kwargs[_TRIALED[name]] = trials
-        results.append(fn(**kwargs))
-    return results
+    """Run every check of ALL_CHECKS in fixed order."""
+    return [run_named(name, seed, trials) for name, _ in ALL_CHECKS]

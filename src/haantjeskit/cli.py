@@ -1,16 +1,17 @@
-"""Command-line front end.
+"""Command-line front end: a thin view over `checks`.
 
 Subcommands expose each pipeline and replay the toolkit's reference
-computations:
+computations (the README lists the catalog systems and their actions):
 
   haantjeskit hessian --poly "x1^3 + x1*x2*x3" --dim 3
-  haantjeskit system --system sw1 ideal dimension
+  haantjeskit system --system NAME ideal dimension
   haantjeskit reproduce --seed 7 --json
 
 The environment variable HAANTJES_TRIALS overrides the number of
 random sample points drawn by seeded checks.  Exit status is 0 exactly
 when no check in the report fails ("evidence-only" verdicts do not
-fail the run).
+fail the run), 1 when one fails, and 2 for a malformed command line,
+reported as one "error:" line on standard error.
 """
 
 from __future__ import annotations
@@ -19,32 +20,13 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__, checks
-from .checks import CheckResult, IV_RADICAL_TEXT, J_TEXT, OO_RADICAL_TEXT
-from .haantjes import OperatorField, conservation_check, haantjes, \
-    is_haantjes_zero, nijenhuis
-from .ideals import (Ideal, default_order, haantjes_zero_ideal,
-                     hilbert_dimension, linear_factor, member, radical_member)
-from .killing import catalog, compatible_family, killing_space
-from .mechanics import build_integral, functional_independence, hamiltonian, \
-    poisson
-from .symalg import ParseError, Poly, parse_poly, var
-from .tensor import TensorField, hessian_operator
-
-
-class UnknownSystem(Exception):
-    """Requested system name is not in the catalog."""
-
-
-SYSTEM_ACTIONS = ("family", "ideal", "radical-check", "dimension",
-                  "linear-subspace", "branches", "mechanics")
-
-RADICAL_GENERATORS = {"sw1": J_TEXT, "oo": OO_RADICAL_TEXT,
-                      "iv": IV_RADICAL_TEXT}
+from .checks import CheckResult, UnknownSystem
+from .symalg import ParseError
+from .tensor import TensorError
 
 
 @dataclass
@@ -78,220 +60,30 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _report(command: str, results: List[CheckResult], t0: float) -> Report:
+def _report(command: str, results: List[CheckResult]) -> Report:
     return Report(version=__version__, command=command, checks=results,
-                  seconds=round(time.time() - t0, 3))
-
-
-# ---- hessian subcommand -----------------------------------------------
+                  seconds=round(sum(c.seconds for c in results), 3))
 
 
 def cmd_hessian(poly_text: str, n: int) -> Report:
-    """Describe the Hessian operator of a polynomial: conservation
-    residuals for the coordinates and the generator itself, both
-    torsions, and the Haantjes zero/nonzero verdict with witness."""
-    t0 = time.time()
-    f = parse_poly(poly_text)
-    op = OperatorField(hessian_operator(f, n))
-    payload: Dict[str, object] = {
-        "operator": [str(c) for c in op.tensor.components],
-    }
-    generators = [Poly.variable(var(f"x{k + 1}")) for k in range(n)] + [f]
-    payload["conservation_generators"] = [str(u) for u in generators]
-    payload["conserved"] = [conservation_check(op, u).is_conserved()
-                            for u in generators]
-    n_t = nijenhuis(op)
-    h_t = haantjes(op)
-    payload["nijenhuis_nonzero"] = {
-        f"N^{i+1}_{j+1}{k+1}": str(n_t[(i, j, k)])
-        for (i, j, k) in n_t.indices() if not n_t[(i, j, k)].is_zero()}
-    payload["haantjes_nonzero"] = {
-        f"H^{i+1}_{j+1}{k+1}": str(h_t[(i, j, k)])
-        for (i, j, k) in h_t.indices() if not h_t[(i, j, k)].is_zero()}
-    zero, witness = is_haantjes_zero(op)
-    payload["haantjes_zero"] = zero
-    if witness is not None:
-        i, j, k, component = witness
-        payload["witness"] = f"H^{i}_{j}{k} = {component}"
-    result = CheckResult(name="hessian-torsion", verdict="evidence-only",
-                         detail=("Haantjes torsion vanishes" if zero else
-                                 "Haantjes torsion is nonzero"),
-                         payload=payload, seconds=time.time() - t0)
-    return _report(f"hessian --poly {poly_text!r} --dim {n}", [result], t0)
-
-
-# ---- system subcommand ------------------------------------------------
-
-
-def _radical_ideal(name: str) -> Ideal:
-    order = default_order([var(f"b{i}") for i in range(1, 7)])
-    return Ideal([parse_poly(RADICAL_GENERATORS[name])], order)
-
-
-def _action_family(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    if name == "sw1":
-        return checks.check_sw1_family()
-    if name == "oscillator":
-        return checks.check_oscillator(seed=seed)
-    t0 = time.time()
-    pot, _ = catalog()[name]
-    fam = compatible_family(killing_space(3), pot)
-    return CheckResult(
-        name=f"{name}-compatible-family", verdict="evidence-only",
-        detail=f"maximal compatible Killing family of the {name} system",
-        payload={"parameters": len(fam.params),
-                 "matrix": [[str(fam.tensor[(i, j)]) for j in range(3)]
-                            for i in range(3)]},
-        seconds=time.time() - t0)
-
-
-def _action_ideal(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    if name == "sw1":
-        return checks.check_sw1_ideal()
-    t0 = time.time()
-    _, fam = catalog()[name]
-    ideal = haantjes_zero_ideal(fam)
-    if name == "oscillator":
-        ok = ideal.generators == []
-        return CheckResult(
-            name="oscillator-haantjes-zero-ideal", verdict=checks._verdict(ok),
-            detail="zero ideal: all compatible Killing tensors Haantjes-zero",
-            payload={"generators": [str(g) for g in ideal.generators]},
-            seconds=time.time() - t0)
-    return CheckResult(
-        name=f"{name}-haantjes-zero-ideal", verdict="evidence-only",
-        detail=f"Haantjes-zero ideal of the {name} family",
-        payload={"generators": [str(g) for g in ideal.generators]},
-        seconds=time.time() - t0)
-
-
-def _action_radical(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    if name in ("oo", "iv"):
-        t0 = time.time()
-        ok, payload = checks._radical_protocol(
-            name, RADICAL_GENERATORS[name])
-        payload["radical_generator"] = RADICAL_GENERATORS[name]
-        return CheckResult(
-            name=f"{name}-radical-generator", verdict=checks._verdict(ok),
-            detail=f"principal radical of the {name} Haantjes-zero ideal",
-            payload=payload, seconds=time.time() - t0)
-    if name == "sw1":
-        t0 = time.time()
-        _, fam = catalog()["sw1"]
-        ideal = haantjes_zero_ideal(fam)
-        j = parse_poly(J_TEXT)
-        payload = {"radical_generator": J_TEXT,
-                   "J_in_ideal": member(j, ideal),
-                   "J_in_radical": radical_member(j, ideal)}
-        ok = payload["J_in_radical"] and not payload["J_in_ideal"]
-        return CheckResult(
-            name="sw1-radical-generator", verdict=checks._verdict(ok),
-            detail="radical of the Haantjes-zero ideal is principal, <J>",
-            payload=payload, seconds=time.time() - t0)
-    t0 = time.time()
-    return CheckResult(
-        name=f"{name}-radical-generator", verdict="evidence-only",
-        detail="zero ideal: radical is trivially zero",
-        payload={}, seconds=time.time() - t0)
-
-
-def _action_dimension(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    t0 = time.time()
-    if name not in RADICAL_GENERATORS:
-        return CheckResult(
-            name=f"{name}-hilbert-dimension", verdict="evidence-only",
-            detail="zero ideal: the full parameter space (dimension 6)",
-            payload={"dimension": 6}, seconds=time.time() - t0)
-    dim = hilbert_dimension(_radical_ideal(name))
-    ok = dim == 5
-    return CheckResult(
-        name=f"{name}-hilbert-dimension", verdict=checks._verdict(ok),
-        detail="Hilbert dimension of the radical Haantjes-zero ideal",
-        payload={"dimension": dim}, seconds=time.time() - t0)
-
-
-def _action_linear(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    if name == "sw1":
-        return checks.check_sw1_linear_subspace()
-    t0 = time.time()
-    if name not in RADICAL_GENERATORS:
-        return CheckResult(
-            name=f"{name}-no-linear-subspace", verdict="evidence-only",
-            detail="zero ideal: every linear subspace is Haantjes-zero",
-            payload={}, seconds=time.time() - t0)
-    factors = [str(f) for f in linear_factor(parse_poly(RADICAL_GENERATORS[name]))]
-    return CheckResult(
-        name=f"{name}-no-linear-subspace", verdict=checks._verdict(factors == []),
-        detail="radical generator has no linear factor",
-        payload={"linear_factors": factors}, seconds=time.time() - t0)
-
-
-def _action_branches(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    if name != "sw1":
-        raise UnknownSystem("branch analysis is only available for sw1")
-    return checks.check_sw1_branches()
-
-
-def _action_mechanics(name: str, seed: int, trials: Optional[int]) -> CheckResult:
-    if name == "nonmaximal-3d":
-        return checks.check_nonmaximal_mechanics(seed=seed,
-                                                 trials=trials or 10)
-    t0 = time.time()
-    pot, fam = catalog()[name]
-    coeffs = {r: Poly.variable(var(f"a{r}"))
-              for r in range(len(pot.generators))}
-    h = hamiltonian(pot, coeffs)
-    integrals = [build_integral(k, pot, coeffs) for k in fam.basis()]
-    commute = [poisson(h, f).poly.is_zero() for f in integrals]
-    rank = functional_independence([h] + integrals, trials=trials or 10,
-                                   seed=seed)
-    return CheckResult(
-        name=f"{name}-mechanics", verdict=checks._verdict(all(commute)),
-        detail="all family integrals Poisson-commute with the Hamiltonian",
-        payload={"integrals": [str(f) for f in integrals],
-                 "poisson_commute": commute,
-                 "functional_rank": rank},
-        seconds=time.time() - t0)
-
-
-_ACTION_DISPATCH = {
-    "family": _action_family,
-    "ideal": _action_ideal,
-    "radical-check": _action_radical,
-    "dimension": _action_dimension,
-    "linear-subspace": _action_linear,
-    "branches": _action_branches,
-    "mechanics": _action_mechanics,
-}
+    """Describe the Hessian operator of a polynomial on R^n."""
+    result = checks.run_check(checks.check_hessian_torsion, poly_text, n)
+    return _report(f"hessian --poly {poly_text!r} --dim {n}", [result])
 
 
 def cmd_system(name: str, actions: Sequence[str], seed: int = 0,
                trials: Optional[int] = None) -> Report:
-    """Run the selected analysis pipelines for a catalog system."""
-    t0 = time.time()
-    if name not in catalog():
-        raise UnknownSystem(
-            f"unknown system {name!r}; available: {sorted(catalog())}")
-    if not actions:
-        actions = [a for a in SYSTEM_ACTIONS
-                   if a != "branches" or name == "sw1"]
-    results = []
-    for action in actions:
-        if action not in _ACTION_DISPATCH:
-            raise UnknownSystem(
-                f"unknown action {action!r}; available: {SYSTEM_ACTIONS}")
-        results.append(_ACTION_DISPATCH[action](name, seed, trials))
-    return _report(f"system --system {name} {' '.join(actions)}", results, t0)
-
-
-# ---- reproduce subcommand ---------------------------------------------
+    """Run the selected analysis pipelines for a catalog system; all
+    actions are validated before any runs."""
+    actions = checks.system_actions(name, actions)
+    return _report(f"system --system {name} {' '.join(actions)}",
+                   checks.run_system(name, actions, seed=seed, trials=trials))
 
 
 def cmd_reproduce(seed: int = 0, trials: Optional[int] = None) -> Report:
     """Run the complete verification suite in fixed order."""
-    t0 = time.time()
     return _report(f"reproduce --seed {seed}",
-                   checks.run_all(seed=seed, trials=trials), t0)
+                   checks.run_all(seed=seed, trials=trials))
 
 
 # ---- entry point ------------------------------------------------------
@@ -318,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "catalog system")
     p_s.add_argument("--system", required=True)
     p_s.add_argument("actions", nargs="*", metavar="action",
-                     help=f"subset of {SYSTEM_ACTIONS}")
+                     help=f"subset of {checks.SYSTEM_ACTIONS}")
     p_s.add_argument("--seed", type=int, default=0)
     p_s.add_argument("--json", action="store_true")
 
@@ -352,7 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 trials=trials)
         else:
             report = cmd_reproduce(seed=args.seed, trials=trials)
-    except (ParseError, UnknownSystem) as exc:
+    except (ParseError, TensorError, UnknownSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.json else report.render_text())

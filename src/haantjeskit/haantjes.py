@@ -32,6 +32,14 @@ class OperatorField:
         return self.tensor[ij]
 
 
+def as_operator(k: TensorField) -> OperatorField:
+    """Operator field of a (0,2) tensor: on Euclidean R^n raising an
+    index leaves the components unchanged."""
+    if k.valence != (0, 2):
+        raise TensorError(f"expected a (0,2) tensor, got valence {k.valence}")
+    return OperatorField(TensorField(k.n, (1, 1), list(k.components)))
+
+
 @dataclass
 class ConservationResidual:
     """Outcome of the conservation-law check for a generating function.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .symalg import Monomial, Poly, VarId
 from .haantjes import haantjes

@@ -10,7 +10,6 @@ independent cross-check.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -18,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from . import linalg
 from .symalg import Monomial, Poly, VarId, parse_poly
 from .tensor import TensorField, TensorError
-from .haantjes import OperatorField, conservation_check
+from .haantjes import OperatorField, as_operator, conservation_check
 
 
 class KillingError(Exception):
@@ -268,7 +267,7 @@ def compatible_family(basis: KillingBasis, pot: PotentialSpec) -> KillingFamily:
 
     rows: List[List[Fraction]] = []
     for u in pot.generators:
-        residuals = [conservation_check(OperatorField(_as_operator(k)), u).residual
+        residuals = [conservation_check(as_operator(k), u).residual
                      for k in basis.elements]
         for j in range(n):
             for k in range(j + 1, n):
@@ -304,15 +303,10 @@ def compatible_family(basis: KillingBasis, pot: PotentialSpec) -> KillingFamily:
     return KillingFamily(dimension=n, params=params, tensor=total)
 
 
-def _as_operator(k: TensorField) -> TensorField:
-    # Euclidean identification of (0,2) and (1,1) components.
-    return TensorField(k.n, (1, 1), list(k.components))
-
-
 def family_operator(family: KillingFamily, b: Mapping[VarId, object] = None) -> OperatorField:
     """Operator field of a family member (Euclidean index raising)."""
     t = family.tensor if b is None else family.specialize(b)
-    return OperatorField(_as_operator(t))
+    return as_operator(t)
 
 
 # ---- potential catalog ------------------------------------------------
@@ -384,16 +378,3 @@ def catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
 def _catalog_families(n: int) -> List[KillingFamily]:
     return [fam for _, fam in catalog().values() if fam.dimension == n]
 
-
-def catalog_json() -> str:
-    """Dump the potential catalog as JSON."""
-    payload = {}
-    for name, (pot, fam) in sorted(catalog().items()):
-        payload[name] = {
-            "dimension": pot.dimension,
-            "generators": [str(u) for u in pot.generators],
-            "family": [[str(fam.tensor[(i, j)]) for j in range(fam.dimension)]
-                       for i in range(fam.dimension)],
-            "parameters": [str(p) for p in fam.params],
-        }
-    return json.dumps(payload, sort_keys=True, indent=2)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from . import linalg
 from .symalg import Poly, VarId
-from .tensor import TensorField, TensorError, partial_derivative
-from .killing import KillingFamily, PotentialSpec, family_operator
-from .haantjes import OperatorField, conservation_check, haantjes
+from .tensor import TensorField, partial_derivative
+from .killing import KillingFamily, PotentialSpec
+from .haantjes import as_operator, conservation_check, haantjes
 
 
 class MechanicsError(Exception):
@@ -119,11 +119,9 @@ def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, obje
     combined potential is checked first and the reconstructed W is
     verified to differentiate back to K* dV exactly.
     """
-    if k.valence != (0, 2):
-        raise TensorError("build_integral expects a (0,2) Killing tensor")
+    a = as_operator(k)
     n = k.n
     v = potential_from_coefficients(pot, coeffs)
-    a = OperatorField(TensorField(n, (1, 1), list(k.components)))
     res = conservation_check(a, v)
     if not res.is_conserved():
         raise NotCompatible("d(K*dV) != 0: the tensor is not compatible with this potential")
@@ -338,9 +336,7 @@ def abundant_haantjes(p: StructuralTensor, k: TensorField, x0: Sequence[Fraction
 
 def haantjes_at(k: TensorField, x0: Sequence[Fraction]):
     """Direct Haantjes evaluation of a (0,2) tensor at a point."""
-    a = OperatorField(TensorField(k.n, (1, 1), list(k.components)))
-    h = haantjes(a)
-    return evaluate_tensor(h, x0)
+    return evaluate_tensor(haantjes(as_operator(k)), x0)
 
 
 # ---- third-order-structure compatibility condition --------------------

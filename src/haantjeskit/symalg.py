@@ -217,10 +217,6 @@ class Poly:
             seen.update(m.variables())
         return tuple(sorted(seen, key=_var_key))
 
-    def degree_in(self, v: VarId) -> int:
-        """Largest exponent of v occurring in any term (0 if absent)."""
-        return max((m.exponent(v) for m in self.terms), default=0)
-
     def has_negative_exponents(self) -> bool:
         return any(e < 0 for m in self.terms for _, e in m.exps)
 
@@ -450,7 +446,10 @@ def parse_poly(text: str) -> Poly:
             if kind == "op" and val in "+-" and not expect_factor:
                 break
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {val}") from None
                 i += 1
             elif kind == "var":
                 v = var(val)

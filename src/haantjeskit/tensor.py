@@ -2,43 +2,20 @@
 
 Components are Poly values stored in a flat row-major list; a tensor of
 valence (r, s) on dimension n has n**(r+s) entries, contravariant slots
-first.  The ambient space is flat and the metric diagonal with +-1
-entries, so covariant differentiation is the plain partial derivative
-and raising/lowering at most flips component signs.
+first.  The ambient space is Euclidean, so covariant differentiation is
+the plain partial derivative.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
-from .symalg import Poly, VarId, parse_poly
+from .symalg import Poly, VarId
 
 
 class TensorError(Exception):
     pass
-
-
-class SlotKindMismatch(TensorError):
-    """Raised when an index operation pairs slots of the wrong kind."""
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Constant diagonal metric on R^n; default Euclidean."""
-
-    dimension: int
-    signature: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise TensorError("dimension must be >= 2")
-        sig = self.signature or (1,) * self.dimension
-        if len(sig) != self.dimension or any(s not in (1, -1) for s in sig):
-            raise TensorError("signature must consist of +-1 entries, one per dimension")
-        object.__setattr__(self, "signature", tuple(sig))
 
 
 class TensorField:
@@ -145,162 +122,19 @@ def partial_derivative(t: TensorField) -> TensorField:
     return TensorField.from_function(n, (t.r, t.s + 1), comp)
 
 
-def raise_lower(t: TensorField, slot: int, direction: str, g: Metric) -> TensorField:
-    """Move one slot up or down with the diagonal metric.
-
-    `slot` counts within the kind being converted (0-based inside the
-    covariant block for "up", inside the contravariant block for
-    "down").  A raised slot lands at the end of the contravariant
-    block; a lowered slot lands at the start of the covariant block.
-    With a diagonal metric the component values change at most by sign.
-    """
-    if g.dimension != t.n:
-        raise TensorError("metric dimension mismatch")
-    if direction not in ("up", "down"):
-        raise TensorError("direction must be 'up' or 'down'")
-    if direction == "up":
-        if not 0 <= slot < t.s:
-            raise SlotKindMismatch(f"no covariant slot {slot}")
-        new_valence = (t.r + 1, t.s - 1)
-
-        def comp(idx):
-            moved = idx[t.r]  # last contravariant slot of the output
-            up = idx[:t.r]
-            down = idx[t.r + 1:]
-            src = up + down[:slot] + (moved,) + down[slot:]
-            return t[src] * g.signature[moved]
-    else:
-        if not 0 <= slot < t.r:
-            raise SlotKindMismatch(f"no contravariant slot {slot}")
-        new_valence = (t.r - 1, t.s + 1)
-
-        def comp(idx):
-            moved = idx[t.r - 1]  # first covariant slot of the output
-            up = idx[:t.r - 1]
-            down = idx[t.r:]
-            src = up[:slot] + (moved,) + up[slot:] + down
-            return t[src] * g.signature[moved]
-
-    return TensorField.from_function(t.n, new_valence, comp)
-
-
-def contract(t: TensorField, slot_up: int, slot_down: int) -> TensorField:
-    """Trace over one contravariant and one covariant slot."""
-    if not 0 <= slot_up < t.r:
-        raise SlotKindMismatch(f"slot {slot_up} is not contravariant")
-    if not t.r <= slot_down < t.r + t.s:
-        raise SlotKindMismatch(f"slot {slot_down} is not covariant")
-    n = t.n
-
-    def comp(idx):
-        total = Poly.zero()
-        for a in range(n):
-            full = list(idx)
-            full.insert(slot_up, a)
-            full.insert(slot_down, a)
-            total = total + t[tuple(full)]
-        return total
-
-    return TensorField.from_function(n, (t.r - 1, t.s - 1), comp)
-
-
-def tensor_product(a: TensorField, b: TensorField) -> TensorField:
-    """Outer product; slots of `a` precede slots of `b` within each kind."""
-    if a.n != b.n:
-        raise TensorError("dimension mismatch in tensor product")
-    n = a.n
-    valence = (a.r + b.r, a.s + b.s)
-
-    def comp(idx):
-        up = idx[:a.r + b.r]
-        down = idx[a.r + b.r:]
-        ia = up[:a.r] + down[:a.s]
-        ib = up[a.r:] + down[a.s:]
-        return a[ia] * b[ib]
-
-    return TensorField.from_function(n, valence, comp)
-
-
-def sym_antisym(t: TensorField, slots: Sequence[int], mode: str) -> TensorField:
-    """Symmetrize or antisymmetrize over slots of one kind (1/k! weight)."""
-    slots = list(slots)
-    if mode not in ("sym", "antisym"):
-        raise TensorError("mode must be 'sym' or 'antisym'")
-    kinds = {("up" if s < t.r else "down") for s in slots}
-    if len(kinds) > 1:
-        raise SlotKindMismatch("cannot mix contravariant and covariant slots")
-    perms = list(itertools.permutations(range(len(slots))))
-    from fractions import Fraction
-    weight = Fraction(1, len(perms))
-
-    def comp(idx):
-        total = Poly.zero()
-        for perm in perms:
-            src = list(idx)
-            for pos, s in enumerate(slots):
-                src[s] = idx[slots[perm[pos]]]
-            term = t[tuple(src)]
-            if mode == "antisym" and _parity(perm) < 0:
-                term = -term
-            total = total + term
-        return total * weight
-
-    return TensorField.from_function(t.n, t.valence, comp)
-
-
-def _parity(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def hessian_operator(f: Poly, n: int) -> TensorField:
-    """(1,1)-operator field with components d2 f / dx_i dx_j."""
+    """(1,1)-operator field with components d2 f / dx_i dx_j of a
+    polynomial f in the coordinates x1..xn of R^n, n >= 2."""
+    if n < 2:
+        raise TensorError(f"hessian operator requires dimension >= 2, got {n}")
     if f.has_negative_exponents():
         raise TensorError("hessian operator requires a polynomial generator")
+    coordinates = {VarId("x", i + 1) for i in range(n)}
+    stray = [str(v) for v in f.variables() if v not in coordinates]
+    if stray:
+        raise TensorError(f"generator uses {', '.join(stray)}, not among "
+                          f"the coordinates x1..x{n}")
     grads = [f.diff(VarId("x", i + 1)) for i in range(n)]
     return TensorField.from_function(
         n, (1, 1), lambda ij: grads[ij[0]].diff(VarId("x", ij[1] + 1)))
 
-
-# ---- serialization -----------------------------------------------------
-
-
-def to_json(t: TensorField) -> str:
-    """Serialize as nested JSON arrays of poly text, contravariant slots
-    first, row-major."""
-
-    def nest(prefix):
-        if len(prefix) == t.r + t.s:
-            return str(t[tuple(prefix)])
-        return [nest(prefix + (i,)) for i in range(t.n)]
-
-    payload = {"dimension": t.n, "valence": [t.r, t.s], "components": nest(())}
-    return json.dumps(payload, sort_keys=True)
-
-
-def from_json(text: str) -> TensorField:
-    payload = json.loads(text)
-    n = payload["dimension"]
-    r, s = payload["valence"]
-    flat: List[Poly] = []
-
-    def walk(node, depth):
-        if depth == r + s:
-            flat.append(parse_poly(node) if node != "0" else Poly.zero())
-        else:
-            for child in node:
-                walk(child, depth + 1)
-
-    walk(payload["components"], 0)
-    return TensorField(n, (r, s), flat)

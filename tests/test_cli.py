@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from haantjeskit import checks
 from haantjeskit.cli import (UnknownSystem, _trials_from_env, cmd_hessian,
                              cmd_system, main)
+from haantjeskit.killing import catalog
+from haantjeskit.symalg import parse_poly, var
 
 
 def run(argv, capsys):
@@ -30,6 +33,21 @@ class TestHessianCommand:
     def test_parse_error_exits_2(self, capsys):
         assert main(["hessian", "--poly", "x1 $"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--poly", "x1^3", "--dim", "0"],
+        ["--poly", "x1^3", "--dim", "1"],
+        ["--poly", "x1^3", "--dim", "-1"],
+        ["--poly", "x1^-2"],
+        ["--poly", "1/0"],
+        ["--poly", "x5^3", "--dim", "2"],
+    ])
+    def test_malformed_input_exits_2(self, args, capsys):
+        assert main(["hessian"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_negative_exponent_report(self):
         report = cmd_hessian("x1^2 + x2^2", 2)
         assert report.checks[0].payload["haantjes_zero"] is True
@@ -45,6 +63,18 @@ class TestSystemCommand:
     def test_branches_only_for_sw1(self):
         with pytest.raises(UnknownSystem):
             cmd_system("oo", ["branches"])
+
+    @pytest.mark.parametrize("name, actions", [
+        ("sw1", ["ideal", "levitate"]),
+        ("oo", ["family", "branches"]),
+    ])
+    def test_actions_validated_before_any_runs(self, name, actions,
+                                               monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            pytest.fail("a check ran before the actions were validated")
+        monkeypatch.setattr(checks, "run_check", refuse)
+        assert main(["system", "--system", name] + actions) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_oscillator_ideal(self, capsys):
         code, out = run(["system", "--system", "oscillator", "ideal"], capsys)
@@ -65,6 +95,25 @@ class TestSystemCommand:
         report = cmd_system("sw1", ["dimension"])
         s = report.to_json()
         assert json.dumps(json.loads(s), sort_keys=True, indent=2) + "\n" == s
+
+
+class TestSystemTable:
+    def test_one_entry_per_catalog_system(self):
+        assert set(checks.SYSTEMS) == set(catalog())
+
+    def test_radical_generators_are_cubics_in_b(self):
+        params = {var(f"b{i}") for i in range(1, 7)}
+        for radical, _ in checks.SYSTEMS.values():
+            if radical is not None:
+                g = parse_poly(radical)
+                assert set(g.variables()) <= params
+                assert {m.degree for m in g.terms} == {3}
+
+    def test_overrides_name_registered_checks(self):
+        registered = dict(checks.ALL_CHECKS + checks.SYSTEM_CHECKS)
+        for _, overrides in checks.SYSTEMS.values():
+            assert set(overrides) <= set(checks.SYSTEM_ACTIONS)
+            assert set(overrides.values()) <= set(registered)
 
 
 class TestTrialsEnv:

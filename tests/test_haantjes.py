@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from haantjeskit.haantjes import (OperatorField, conservation_check, haantjes,
+from haantjeskit.haantjes import (OperatorField, as_operator,
+                                  conservation_check, haantjes,
                                   is_haantjes_zero, nijenhuis)
 from haantjeskit.symalg import Poly, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField, hessian_operator
@@ -24,6 +25,15 @@ class TestValence:
     def test_rejects_non_operator(self):
         with pytest.raises(TensorError):
             OperatorField(TensorField.zero(3, (0, 2)))
+
+    def test_as_operator_keeps_components(self):
+        k = TensorField.from_matrix([[parse_poly("x1"), parse_poly("2")],
+                                     [parse_poly("2"), parse_poly("x2^2")]])
+        a = as_operator(k)
+        assert a.tensor.valence == (1, 1)
+        assert a.tensor.components == k.components
+        with pytest.raises(TensorError):
+            as_operator(a.tensor)
 
 
 class TestAlgebraicProperties:

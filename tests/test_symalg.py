@@ -71,6 +71,10 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_poly("b4^-0")
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError):
+            parse_poly("1/0*x1")
+
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("x1 $ x2")

@@ -1,15 +1,12 @@
-"""Dense tensor fields: slot moves, products, traces, serialization."""
+"""Dense tensor fields: construction, derivatives, Hessian operators."""
 
 import random
 
 import pytest
 
 from haantjeskit.symalg import Poly, parse_poly, var
-from haantjeskit.tensor import (Metric, SlotKindMismatch, TensorError,
-                                TensorField, contract, from_json,
-                                hessian_operator, partial_derivative,
-                                raise_lower, sym_antisym, tensor_product,
-                                to_json)
+from haantjeskit.tensor import (TensorError, TensorField, hessian_operator,
+                                partial_derivative)
 from .test_symalg import random_poly
 
 XS = [var(s) for s in ("x1", "x2", "x3")]
@@ -58,76 +55,6 @@ class TestDerivative:
                 assert dd[(0, 0, i, j)] == dd[(0, 0, j, i)]
 
 
-class TestRaiseLower:
-    def test_euclidean_round_trip(self):
-        rng = random.Random(2)
-        g = Metric(3)
-        t = random_tensor(rng, 3, (1, 2))
-        up = raise_lower(t, 0, "up", g)       # first covariant slot up
-        assert up.valence == (2, 1)
-        back = raise_lower(up, up.r - 1, "down", g)
-        assert back == t
-
-    def test_euclidean_components_unchanged(self):
-        rng = random.Random(3)
-        g = Metric(3)
-        t = random_tensor(rng, 3, (0, 2))
-        up = raise_lower(t, 0, "up", g)
-        assert list(up.components) == list(t.components)
-
-    def test_signature_sign(self):
-        g = Metric(2, (1, -1))
-        t = TensorField.from_matrix([[parse_poly("1"), parse_poly("2")],
-                                     [parse_poly("3"), parse_poly("4")]])
-        up = raise_lower(t, 0, "up", g)
-        assert up[(0, 0)] == parse_poly("1")
-        assert up[(1, 0)] == parse_poly("-3")
-
-    def test_bad_direction(self):
-        with pytest.raises(TensorError):
-            raise_lower(TensorField.identity_operator(2), 0, "sideways",
-                        Metric(2))
-
-
-class TestContractProduct:
-    def test_trace_of_identity(self):
-        tr = contract(TensorField.identity_operator(3), 0, 1)
-        assert tr.valence == (0, 0)
-        assert tr[()] == Poly.const(3)
-
-    def test_contract_wrong_kind(self):
-        with pytest.raises(SlotKindMismatch):
-            contract(TensorField.identity_operator(3), 1, 1)
-
-    def test_product_then_trace_is_matrix_product(self):
-        rng = random.Random(4)
-        a = random_tensor(rng, 2, (1, 1))
-        b = random_tensor(rng, 2, (1, 1))
-        ab = contract(tensor_product(a, b), 1, 2)
-        for i in range(2):
-            for j in range(2):
-                expected = sum((a[(i, s)] * b[(s, j)] for s in range(2)),
-                               Poly.zero())
-                assert ab[(i, j)] == expected
-
-
-class TestSymAntisym:
-    def test_symmetrize(self):
-        rng = random.Random(5)
-        t = random_tensor(rng, 3, (0, 2))
-        s = sym_antisym(t, [0, 1], "sym")
-        for i in range(3):
-            for j in range(3):
-                assert s[(i, j)] == s[(j, i)]
-        assert s + sym_antisym(t, [0, 1], "antisym") == t
-
-    def test_mixed_kind_rejected(self):
-        rng = random.Random(6)
-        t = random_tensor(rng, 3, (1, 1))
-        with pytest.raises(SlotKindMismatch):
-            sym_antisym(t, [0, 1], "sym")
-
-
 class TestHessian:
     def test_symmetric(self):
         h = hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3)
@@ -145,9 +72,9 @@ class TestHessian:
         with pytest.raises(TensorError):
             hessian_operator(parse_poly("x1^-2"), 3)
 
+    @pytest.mark.parametrize("text, n", [("x1^3", 1), ("x1^3", 0),
+                                         ("x3^3", 2), ("b1*x1^2", 3)])
+    def test_rejects_low_dimension_and_stray_variables(self, text, n):
+        with pytest.raises(TensorError):
+            hessian_operator(parse_poly(text), n)
 
-class TestJson:
-    def test_round_trip(self):
-        rng = random.Random(7)
-        t = random_tensor(rng, 3, (1, 2))
-        assert from_json(to_json(t)) == t
