@@ -29,6 +29,11 @@ from .symalg import ParseError
 from .tensor import TensorError
 
 
+class UsageError(Exception):
+    """A malformed setting outside the argument list, such as
+    HAANTJES_TRIALS."""
+
+
 @dataclass
 class Report:
     """Aggregated outcome of one command invocation."""
@@ -127,16 +132,16 @@ def _trials_from_env() -> Optional[int]:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(f"HAANTJES_TRIALS must be an integer, got {raw!r}")
+        raise UsageError(f"HAANTJES_TRIALS must be an integer, got {raw!r}")
     if value <= 0:
-        raise SystemExit("HAANTJES_TRIALS must be positive")
+        raise UsageError("HAANTJES_TRIALS must be positive")
     return value
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    trials = _trials_from_env()
     try:
+        trials = _trials_from_env()
         if args.subcommand == "hessian":
             report = cmd_hessian(args.poly, args.dim)
         elif args.subcommand == "system":
@@ -144,7 +149,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 trials=trials)
         else:
             report = cmd_reproduce(seed=args.seed, trials=trials)
-    except (ParseError, TensorError, UnknownSystem) as exc:
+    except (ParseError, TensorError, UnknownSystem, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.json else report.render_text())

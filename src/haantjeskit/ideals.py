@@ -1,7 +1,7 @@
 """Groebner bases over the parameter subring Q[b1..bm] and the ideal
 queries built on them: membership, radical membership via the extended
 ring with an auxiliary variable, Hilbert dimension from leading
-monomials, and linear-factor detection.
+monomials, and linear factors from rational roots on lines.
 
 The engine is a plain Buchberger loop with the coprimality criterion
 and normal (smallest-lcm-first) pair selection; the scale of every
@@ -12,6 +12,7 @@ keeps this comfortably fast with exact coefficients.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -35,24 +36,13 @@ class UnitIdeal(IdealsError):
     """The ideal is the whole ring."""
 
 
-class NotZeroDimensional(IdealsError):
-    """A solver step expected finitely many solutions."""
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Monomial order on a fixed variable sequence.
+    """Graded reverse lexicographic order on a fixed variable sequence:
+    graded, ties broken by the smallest exponent in the last differing
+    variable."""
 
-    grevlex: graded, ties broken by the smallest exponent in the last
-    differing variable; lex: the first variable is most significant.
-    """
-
-    kind: str
     variables: Tuple[VarId, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise IdealsError(f"unknown order kind {self.kind!r}")
 
     def exp_vector(self, m: Monomial) -> Tuple[int, ...]:
         pos = {v: i for i, v in enumerate(self.variables)}
@@ -67,16 +57,14 @@ class MonomialOrder:
 
     def key(self, m: Monomial):
         vec = self.exp_vector(m)
-        if self.kind == "lex":
-            return vec
         return (sum(vec), tuple(-e for e in reversed(vec)))
 
     def extend(self, v: VarId) -> "MonomialOrder":
-        return MonomialOrder(self.kind, self.variables + (v,))
+        return MonomialOrder(self.variables + (v,))
 
 
 def default_order(variables: Sequence[VarId]) -> MonomialOrder:
-    return MonomialOrder("grevlex", tuple(variables))
+    return MonomialOrder(tuple(variables))
 
 
 # ---- polynomial helpers relative to an order ---------------------------
@@ -285,125 +273,96 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def _rational_roots(f: Poly, v: VarId) -> List[Fraction]:
-    """All rational roots of a univariate polynomial in v."""
-    coeffs: Dict[int, Fraction] = {}
-    for m, q in f.terms.items():
-        e = m.exponent(v)
-        if Monomial({v: e}) != m:
-            raise IdealsError(f"{f} is not univariate in {v}")
-        coeffs[e] = q
-    if not coeffs:
-        raise IdealsError("cannot enumerate roots of the zero polynomial")
-    roots = []
+def _rational_roots(coeffs: Dict[int, Fraction]) -> List[Fraction]:
+    """All rational roots of the nonzero univariate polynomial with the
+    given coefficient for each power, by the rational root theorem."""
     low = min(coeffs)
-    if low > 0:
-        roots.append(Fraction(0))
-        coeffs = {e - low: q for e, q in coeffs.items()}
-    if max(coeffs) == 0:
-        return roots
+    roots = [Fraction(0)] if low > 0 else []
     den = reduce(lcm, (q.denominator for q in coeffs.values()), 1)
-    ints = {e: int(q * den) for e, q in coeffs.items()}
-    a0 = ints[min(ints)]
-    ad = ints[max(ints)]
-    seen = set(roots)
-    for p in _divisors(a0):
-        for q in _divisors(ad):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                if sum(c * cand ** e for e, c in ints.items()) == 0:
-                    seen.add(cand)
-                    roots.append(cand)
+    num = reduce(gcd, (q.numerator for q in coeffs.values()), 0)
+    ints = {e - low: int(q * den / num) for e, q in coeffs.items()}
+    d = max(ints)
+    if d == 0:
+        return roots
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[d]):
+            if gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                if sum(c * s ** e * q ** (d - e) for e, c in ints.items()) == 0:
+                    roots.append(Fraction(s, q))
     return roots
 
 
-def _solve_zero_dimensional(polys: List[Poly], variables: List[VarId]) -> List[Dict[VarId, Fraction]]:
-    """All rational solutions of a polynomial system expected to have
-    finitely many solutions; recursive elimination on a lex basis."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not variables:
-        return [] if polys else [{}]
-    if not polys:
-        raise NotZeroDimensional("system has free variables")
-    order = MonomialOrder("lex", tuple(variables))
-    basis = buchberger(polys, order)
-    if len(basis) == 1 and basis[0].is_constant():
-        return []
-    last = variables[-1]
-    uni = [g for g in basis if all(v == last for v in g.variables())]
-    if not uni:
-        raise NotZeroDimensional(f"no univariate eliminant in {last}")
-    roots = set(_rational_roots(uni[0], last))
-    for g in uni[1:]:
-        roots &= set(_rational_roots(g, last))
-    solutions = []
-    for r in sorted(roots):
-        sub = [g.substitute({last: Poly.const(r)}) for g in basis]
-        for partial in _solve_zero_dimensional(sub, variables[:-1]):
-            partial = dict(partial)
-            partial[last] = r
-            solutions.append(partial)
-    return solutions
+def _restriction(f: Poly, v: VarId, point: Dict[VarId, int]) -> Dict[int, Fraction]:
+    """Nonzero coefficients, by power of v, of f with every other
+    variable fixed at the point."""
+    coeffs: Dict[int, Fraction] = {}
+    for m, q in f.terms.items():
+        for w, e in m.exps:
+            if w != v:
+                q *= point[w] ** e
+        k = m.exponent(v)
+        coeffs[k] = coeffs.get(k, 0) + q
+    return {e: q for e, q in coeffs.items() if q}
 
 
 def linear_factor(f: Poly) -> List[Poly]:
     """All linear polynomials dividing f, up to scale (possibly empty).
 
-    Found by the substitution ansatz: a factor monic in a pivot
-    variable v has the form v - h with h affine in the remaining
-    variables, and divides f exactly when f becomes identically zero
-    under v -> h; the resulting coefficient system in the unknown
-    coefficients of h is solved exactly.
+    Found from rational roots on lines.  Each variable dividing every
+    term is a factor; every other factor divides the content-free part
+    f0.  For a pivot variable v and the remaining variables w, a factor
+    v - h with h affine in w makes h(p) a rational root of the
+    univariate restriction f0(v, p) wherever that restriction is not
+    identically zero.  The roots r0 at a base point p0 and r_w at
+    p0 + e_w for each w give one candidate per combination, with slope
+    r_w - r0 in w.  A candidate is kept when h(q) is also a root at one
+    more, widely drawn point q (a cheap screen) and it divides f
+    exactly.  Points come from a fixed-seed generator whose range
+    widens after every base point with an identically zero restriction,
+    so the search ends for every nonzero f and the result never
+    depends on the points drawn.
     """
     if f.is_zero():
         return []
     if f.has_negative_exponents():
         raise IdealsError("linear_factor expects a polynomial")
 
-    factors: List[Poly] = []
-
     # monomial content contributes one linear factor per variable
-    support = f.variables()
-    content = {v: min(m.exponent(v) for m in f.terms) for v in support if
-               min(m.exponent(v) for m in f.terms) >= 1}
-    for v in content:
-        factors.append(Poly.variable(v))
-    content_mono = Monomial(content)
-    f0 = Poly({_quotient(m, content_mono): q for m, q in f.terms.items()})
+    content = Monomial({v: min(m.exponent(v) for m in f.terms)
+                        for v in f.variables()})
+    factors = [Poly.variable(v) for v in content.variables()]
+    f0 = Poly({_quotient(m, content): q for m, q in f.terms.items()})
 
-    degrees = {m.degree for m in f0.terms}
-    homogeneous = len(degrees) == 1
-
+    order = default_order(sorted(f.variables()))
     seen = {str(p) for p in factors}
+    rng = random.Random(0)
     for v in f0.variables():
         rest = [w for w in f0.variables() if w != v]
-        # one unknown per remaining variable, plus a constant term for
-        # inhomogeneous inputs (factors of homogeneous f are homogeneous)
-        unknowns = [VarId("t", i + 1) for i in range(len(rest) + (0 if homogeneous else 1))]
-        h = Poly.zero()
-        for u, w in zip(unknowns, rest):
-            h = h + Poly.variable(u) * Poly.variable(w)
-        if not homogeneous:
-            h = h + Poly.variable(unknowns[-1])  # constant coefficient
-        if not unknowns:
-            # univariate homogeneous primitive part: c * v^d, content removed
-            continue
-        g = f0.substitute({v: h})
-        system = list(g.collect(frozenset(ns for ns in ("b", "a", "c", "x", "p"))).values())
-        for sol in _solve_zero_dimensional(system, unknowns):
-            ell = Poly.variable(v)
-            for u, w in zip(unknowns, rest):
-                ell = ell - Poly.const(sol[u]) * Poly.variable(w)
-            if not homogeneous:
-                ell = ell - Poly.const(sol[unknowns[-1]])
-            order = default_order(sorted(set(f.variables()) | set(ell.variables())))
-            ell = primitive_normalized(ell, order)
-            if str(ell) in seen:
-                continue
-            if normal_form(f, [ell], order).is_zero():
-                seen.add(str(ell))
-                factors.append(ell)
+        bound = 2
+        while True:
+            p0 = {w: rng.randint(-bound, bound) for w in rest}
+            points = [p0] + [{**p0, w: p0[w] + 1} for w in rest]
+            restrictions = [_restriction(f0, v, p) for p in points]
+            if all(restrictions):
+                break
+            bound *= 2
+        r0s, *line_roots = [_rational_roots(r) for r in restrictions]
+        q = {w: rng.randint(-999, 999) for w in rest}
+        at_q = _restriction(f0, v, q)
+        for r0 in r0s:
+            for rs in itertools.product(*line_roots):
+                h_q = r0 + sum((r - r0) * (q[w] - p0[w]) for w, r in zip(rest, rs))
+                if sum(c * h_q ** e for e, c in at_q.items()) != 0:
+                    continue
+                ell = Poly.variable(v) - r0
+                for w, r in zip(rest, rs):
+                    ell = ell - (r - r0) * (Poly.variable(w) - p0[w])
+                ell = primitive_normalized(ell, order)
+                if str(ell) not in seen and normal_form(f, [ell], order).is_zero():
+                    seen.add(str(ell))
+                    factors.append(ell)
     factors.sort(key=str)
     return factors
 

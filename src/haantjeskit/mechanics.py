@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from . import linalg
 from .symalg import Poly, VarId
-from .tensor import TensorField, partial_derivative
+from .tensor import TensorError, TensorField, partial_derivative
 from .killing import KillingFamily, PotentialSpec
 from .haantjes import as_operator, conservation_check, haantjes
 

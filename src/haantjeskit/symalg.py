@@ -11,7 +11,7 @@ Variables are namespaced:
   b  family parameters
   a  potential parameters
   c  integral coefficients
-  t  auxiliary solver variables
+  t  auxiliary variables (radical membership)
 
 Only x-variables may carry negative exponents; every denominator that
 occurs in the computations this package targets is a monomial in the

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from haantjeskit import checks
-from haantjeskit.cli import (UnknownSystem, _trials_from_env, cmd_hessian,
-                             cmd_system, main)
+from haantjeskit.cli import (UnknownSystem, UsageError, _trials_from_env,
+                             cmd_hessian, cmd_system, main)
 from haantjeskit.killing import catalog
 from haantjeskit.symalg import parse_poly, var
 
@@ -127,13 +127,22 @@ class TestTrialsEnv:
 
     def test_invalid(self, monkeypatch):
         monkeypatch.setenv("HAANTJES_TRIALS", "many")
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             _trials_from_env()
 
     def test_nonpositive(self, monkeypatch):
         monkeypatch.setenv("HAANTJES_TRIALS", "0")
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             _trials_from_env()
+
+    @pytest.mark.parametrize("value", ["many", "0"])
+    def test_malformed_value_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("HAANTJES_TRIALS", value)
+        assert main(["system", "--system", "oo", "dimension"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: HAANTJES_TRIALS")
+        assert captured.err.count("\n") == 1
 
 
 class TestReproduce:

@@ -1,15 +1,18 @@
 """Groebner bases, ideal membership, dimension, linear factors."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from haantjeskit.ideals import (Ideal, MonomialOrder, NotZeroDimensional,
+from haantjeskit import checks
+from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 UnitIdeal, ZeroIdeal, buchberger,
                                 default_order, haantjes_zero_ideal,
                                 hilbert_dimension, ideal_equal, leading_term,
                                 linear_factor, member, normal_form,
-                                radical_member, s_polynomial)
+                                primitive_normalized, radical_member,
+                                s_polynomial)
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var
 
 B = [var(f"b{i}") for i in range(1, 7)]
@@ -132,6 +135,78 @@ class TestLinearFactor:
     def test_verification_by_division(self):
         f = parse_poly("b1^3 + 3*b1^2 + 3*b1 + 1")
         assert {str(g) for g in linear_factor(f)} == {"b1 + 1"}
+
+    def test_zero_and_laurent_inputs(self):
+        assert linear_factor(Poly.zero()) == []
+        with pytest.raises(IdealsError):
+            linear_factor(parse_poly("x1^-1 + 1"))
+
+    def test_base_point_search_ends(self):
+        # Every point with b2 in 1..9 restricts the b1 and b3 pivots to
+        # the zero polynomial, so the base point must leave that range.
+        f = parse_poly("b1 + b3")
+        for i in range(1, 10):
+            f = f * parse_poly(f"b2 - {i}")
+        assert [str(g) for g in linear_factor(f)] == \
+            ["b1 + b3"] + [f"b2 - {i}" for i in range(1, 10)]
+
+
+def _random_linear(rng, variables, homogeneous):
+    while True:
+        ell = Poly.zero()
+        for v in variables:
+            ell = ell + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * Poly.variable(v)
+        if not homogeneous:
+            ell = ell + rng.randint(-3, 3)
+        if not ell.is_constant():
+            return ell
+
+
+def _random_small(rng, variables, homogeneous):
+    f = Poly.zero()
+    for _ in range(3):
+        term = Poly.const(rng.randint(-4, 4))
+        for _ in range(2 if homogeneous else rng.randint(0, 2)):
+            term = term * Poly.variable(rng.choice(variables))
+        f = f + term
+    return f if not f.is_zero() else Poly.const(1)
+
+
+def _oracle_input(seed):
+    """A seeded product of linear forms and, mostly, a small polynomial;
+    homogeneous for even seeds."""
+    rng = random.Random(seed)
+    variables = B[:rng.randint(1, 4)]
+    homogeneous = seed % 2 == 0
+    f = Poly.const(1)
+    for _ in range(rng.randint(1, 3)):
+        f = f * _random_linear(rng, variables, homogeneous)
+    if rng.random() < 0.7:
+        f = f * _random_small(rng, variables, homogeneous)
+    return f
+
+
+class TestLinearFactorOracle:
+    """linear_factor against the degree-1 factors of sympy.factor_list."""
+
+    @staticmethod
+    def sympy_linear_factors(f):
+        sympy = pytest.importorskip("sympy")
+        _, factors = sympy.factor_list(sympy.sympify(str(f).replace("^", "**")))
+        order = default_order(sorted(f.variables()))
+        return sorted(
+            str(primitive_normalized(parse_poly(str(g).replace("**", "^")), order))
+            for g, _ in factors if sympy.Poly(g).total_degree() == 1)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_products(self, seed):
+        f = _oracle_input(seed)
+        assert [str(g) for g in linear_factor(f)] == self.sympy_linear_factors(f)
+
+    @pytest.mark.parametrize("system", ["sw1", "oo", "iv"])
+    def test_radical_generators_have_no_linear_factor(self, system):
+        f = parse_poly(checks.SYSTEMS[system][0])
+        assert linear_factor(f) == [] == self.sympy_linear_factors(f)
 
 
 class TestHaantjesZeroIdeal:

@@ -13,7 +13,7 @@ from haantjeskit.mechanics import (DegenerateK, NotCompatible, PhaseFunction,
                                    haantjes_at, hamiltonian, poisson,
                                    random_rational, structural_tensor_at)
 from haantjeskit.symalg import Poly, parse_poly, var
-from haantjeskit.tensor import TensorField
+from haantjeskit.tensor import TensorError, TensorField
 
 
 def phase(n, text):
@@ -161,3 +161,7 @@ class TestCondition6b:
         k = TensorField.zero(3, (0, 2))
         with pytest.raises(DegenerateK):
             condition_6b(k)
+
+    def test_operator_rejected(self):
+        with pytest.raises(TensorError):
+            condition_6b(TensorField.identity_operator(3))
