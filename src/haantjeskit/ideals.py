@@ -4,13 +4,15 @@ ring with an auxiliary variable, Hilbert dimension from leading
 monomials, and linear factors from rational roots on lines.
 
 The engine is a plain Buchberger loop with the coprimality criterion
-and normal (smallest-lcm-first) pair selection; the scale of every
-ideal in this package (degree <= 4 generators in at most 7 variables)
-keeps this comfortably fast with exact coefficients.
+and normal (smallest-lcm-first) pair selection, each pair keyed once
+when it is formed; the scale of every ideal in this package (degree
+<= 4 generators in at most 7 variables) keeps this comfortably fast
+with exact coefficients.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -43,16 +45,20 @@ class MonomialOrder:
     variable."""
 
     variables: Tuple[VarId, ...]
+    _pos: Dict[VarId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.variables)})
 
     def exp_vector(self, m: Monomial) -> Tuple[int, ...]:
-        pos = {v: i for i, v in enumerate(self.variables)}
         vec = [0] * len(self.variables)
         for v, e in m.exps:
-            if v not in pos:
+            i = self._pos.get(v)
+            if i is None:
                 raise IdealsError(f"variable {v} not in the order's ring")
             if e < 0:
                 raise IdealsError("Laurent exponents are not allowed in ideals")
-            vec[pos[v]] = e
+            vec[i] = e
         return tuple(vec)
 
     def key(self, m: Monomial):
@@ -96,21 +102,52 @@ def _lcm_mono(a: Monomial, b: Monomial) -> Monomial:
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
-    """Remainder of full multivariate division of f by the basis."""
-    lead = [leading_term(g, order) for g in basis]
-    remainder = Poly.zero()
-    work = f
-    while not work.is_zero():
-        lm, lc = leading_term(work, order)
-        for g, (glm, glc) in zip(basis, lead):
+    """Remainder of full multivariate division of f by the basis: each
+    step divides the leading term of what is left by the first basis
+    element, in list order, whose leading monomial divides it."""
+    return _remainder(f, basis, [leading_term(g, order)[0] for g in basis], order)
+
+
+def _remainder(f: Poly, basis: Sequence[Poly], lms: Sequence[Monomial],
+               order: MonomialOrder) -> Poly:
+    """normal_form, given the leading monomial of each basis element.
+
+    What is left of f is kept as coefficients by order key, with the
+    pending keys sorted; every term a division step brings in is smaller
+    than the term it removes, so each key is taken at most once."""
+    monos: Dict[tuple, Monomial] = {}
+    coeffs: Dict[tuple, Fraction] = {}
+    for m, q in f.terms.items():
+        k = order.key(m)
+        monos[k] = m
+        coeffs[k] = q
+    pending = sorted(coeffs)
+    remainder: Dict[Monomial, Fraction] = {}
+    while pending:
+        k = pending.pop()
+        q = coeffs.pop(k)
+        if not q:
+            continue
+        lm = monos[k]
+        for g, glm in zip(basis, lms):
             if _divides(glm, lm):
-                work = work - g * Poly.term(_quotient(lm, glm), lc / glc)
+                t = _quotient(lm, glm)
+                c = q / g.terms[glm]
+                for gm, gq in g.terms.items():
+                    if gm == glm:
+                        continue  # cancels the leading term exactly
+                    m = gm * t
+                    mk = order.key(m)
+                    if mk in coeffs:
+                        coeffs[mk] -= c * gq
+                    else:
+                        monos[mk] = m
+                        coeffs[mk] = -c * gq
+                        bisect.insort(pending, mk)
                 break
         else:
-            t = Poly.term(lm, lc)
-            remainder = remainder + t
-            work = work - t
-    return remainder
+            remainder[lm] = q
+    return Poly(remainder)
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -141,26 +178,24 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     basis = [g for g in generators if not g.is_zero()]
     if not basis:
         return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    lms = [leading_term(g, order)[0] for g in basis]
+    pairs: List[tuple] = []  # (order key of the lcm, i, j), sorted
 
-    def pair_key(p):
-        i, j = p
-        l = _lcm_mono(leading_term(basis[i], order)[0],
-                      leading_term(basis[j], order)[0])
-        return order.key(l)
+    def add_pairs(j):
+        for i in range(j):
+            l = _lcm_mono(lms[i], lms[j])
+            if l != lms[i] * lms[j]:  # coprime leading monomials reduce to zero
+                bisect.insort(pairs, (order.key(l), i, j))
 
+    for j in range(1, len(basis)):
+        add_pairs(j)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        mi = leading_term(fi, order)[0]
-        mj = leading_term(fj, order)[0]
-        if _lcm_mono(mi, mj) == mi * mj:
-            continue  # coprime leading monomials reduce to zero
-        rem = normal_form(s_polynomial(fi, fj, order), basis, order)
+        _, i, j = pairs.pop(0)
+        rem = _remainder(s_polynomial(basis[i], basis[j], order), basis, lms, order)
         if not rem.is_zero():
             basis.append(rem)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            lms.append(leading_term(rem, order)[0])
+            add_pairs(len(basis) - 1)
     return _reduce_basis(basis, order)
 
 
@@ -193,7 +228,7 @@ class Ideal:
 
     generators: List[Poly]
     order: MonomialOrder
-    _basis: Optional[List[Poly]] = field(default=None, repr=False)
+    _basis: Optional[List[Poly]] = field(default=None, repr=False, compare=False)
 
     def groebner(self) -> List[Poly]:
         """Reduced Groebner basis (cached; write-once)."""

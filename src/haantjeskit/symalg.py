@@ -348,9 +348,28 @@ class Poly:
         return {m: p for m, p in out.items() if not p.is_zero()}
 
     def evaluate(self, point: Mapping[VarId, Scalar]) -> Fraction:
-        """Evaluate at a rational point binding every variable."""
-        binds = {v: Poly.const(q) for v, q in point.items()}
-        return self.substitute(binds).as_fraction()
+        """Evaluate at a rational point binding every variable.
+
+        Raises NonInvertibleSubstitution for a negative power of a
+        variable bound to 0, and ValueError if the value still depends
+        on a variable the point leaves unbound.
+        """
+        total = Fraction(0)
+        for m, q in self.terms.items():
+            for v, e in m.exps:
+                if v not in point:
+                    # constant only if the unbound terms cancel
+                    binds = {w: Poly.const(x) for w, x in point.items()}
+                    return self.substitute(binds).as_fraction()
+                if e > 0:
+                    q *= point[v] ** e
+                elif point[v]:
+                    q *= Fraction(point[v]) ** e
+                else:
+                    raise NonInvertibleSubstitution(
+                        f"{v} occurs with exponent {e} but is bound to the non-monomial 0")
+            total += q
+        return total
 
     # ---- printing ------------------------------------------------------
 

@@ -10,7 +10,7 @@ from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 UnitIdeal, ZeroIdeal, buchberger,
                                 default_order, haantjes_zero_ideal,
                                 hilbert_dimension, ideal_equal, leading_term,
-                                linear_factor, member, normal_form,
+                                linear_factor, member, monic, normal_form,
                                 primitive_normalized, radical_member,
                                 s_polynomial)
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var
@@ -42,6 +42,21 @@ class TestMonomialOrder:
         assert coeff == Fraction(-7)
         assert mono == Monomial.of(var("b3"), 3)
 
+    def test_position_map_is_invisible(self):
+        a, b = border(2), border(2)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == ("MonomialOrder(variables=(VarId(ns='b', index=1), "
+                           "VarId(ns='b', index=2)))")
+        ext = a.extend(var("t1"))
+        assert ext == MonomialOrder((B[0], B[1], var("t1"))) != a
+        assert ext.exp_vector(next(iter(parse_poly("b2*t1^3").terms))) == (0, 1, 3)
+
+    def test_foreign_and_laurent_monomials_rejected(self):
+        with pytest.raises(IdealsError):
+            border(2).key(Monomial.of(var("b3")))
+        with pytest.raises(IdealsError):
+            default_order([var("x1")]).key(Monomial.of(var("x1"), -1))
+
 
 class TestBuchberger:
     def test_textbook_example(self):
@@ -70,6 +85,86 @@ class TestBuchberger:
         g = parse_poly("b1^2 - 1")
         assert normal_form(f + g, basis, order) == \
             normal_form(f, basis, order) + normal_form(g, basis, order)
+
+
+class TestIdeal:
+    def test_equality_ignores_the_cached_basis(self):
+        g = parse_poly("b1^2 - b2")
+        a, b = Ideal([g], border(3)), Ideal([g], border(3))
+        a.groebner()
+        assert a == b
+
+
+@pytest.fixture(scope="module")
+def catalog_ideals():
+    from haantjeskit.killing import catalog
+    ideals = {name: haantjes_zero_ideal(catalog()[name][1])
+              for name in ("sw1", "oo", "iv")}
+    ideals["reference"] = checks.sw1_reference_ideal()
+    return ideals
+
+
+class TestGroebnerOracle:
+    """Reduced bases against sympy.groebner in the same grevlex order."""
+
+    @staticmethod
+    def sympy_reduced_basis(ideal):
+        sympy = pytest.importorskip("sympy")
+        variables = ideal.order.variables
+        gens = sympy.symbols([str(v) for v in variables])
+        exprs = [sympy.sympify(str(g).replace("^", "**")) for g in ideal.generators]
+        basis = []
+        for g in sympy.groebner(exprs, *gens, order="grevlex").polys:
+            f = Poly({Monomial(zip(variables, exps)): Fraction(int(c.p), int(c.q))
+                      for exps, c in g.terms()})
+            basis.append(monic(f, ideal.order))
+        return sorted(basis, key=str)
+
+    @pytest.mark.parametrize("name", ["sw1", "oo", "iv", "reference"])
+    def test_reduced_basis_matches_sympy(self, catalog_ideals, name):
+        ideal = catalog_ideals[name]
+        assert sorted(ideal.groebner(), key=str) == self.sympy_reduced_basis(ideal)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generator_order_does_not_matter(self, catalog_ideals, seed):
+        ideal = catalog_ideals["sw1"]
+        gens = list(ideal.generators)
+        random.Random(seed).shuffle(gens)
+        assert buchberger(gens, ideal.order) == ideal.groebner()
+
+
+def _division_remainder(f, basis, order):
+    """Reference division: the leading term of what is left goes to the
+    first basis element, in list order, whose leading monomial divides
+    it, or else to the remainder."""
+    remainder, work = Poly.zero(), f
+    while not work.is_zero():
+        lm, lc = leading_term(work, order)
+        for g in basis:
+            glm, glc = leading_term(g, order)
+            if all(lm.exponent(v) >= e for v, e in glm.exps):
+                quotient = Monomial({v: lm.exponent(v) - glm.exponent(v)
+                                     for v in lm.variables()})
+                work = work - g * Poly.term(quotient, lc / glc)
+                break
+        else:
+            remainder = remainder + Poly.term(lm, lc)
+            work = work - Poly.term(lm, lc)
+    return remainder
+
+
+class TestNormalForm:
+    def test_matches_reference_division_on_arbitrary_lists(self):
+        # The lists are not Groebner bases, so the remainder depends on
+        # which divisor each step picks.
+        rng = random.Random(3)
+        order = border(3)
+        for _ in range(60):
+            f = _random_small(rng, B[:3], False) * _random_linear(rng, B[:3], False)
+            basis = [_random_linear(rng, B[:3], rng.random() < 0.5)
+                     * _random_small(rng, B[:3], False)
+                     for _ in range(rng.randint(1, 3))]
+            assert normal_form(f, basis, order) == _division_remainder(f, basis, order)
 
 
 class TestMembership:

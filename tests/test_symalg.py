@@ -21,6 +21,7 @@ def random_poly(rng, variables, max_terms=4, max_degree=4):
 
 
 VARS = [var(s) for s in ("x1", "x2", "x3", "b1", "b2", "p1")]
+LAURENT_VARS = [var(s) for s in ("x1", "x2", "p1", "p2", "b1", "b2", "a0", "a1")]
 
 
 class TestRingAxioms:
@@ -131,6 +132,40 @@ class TestSubstitution:
         f = parse_poly("x1^2 + x2^-1")
         val = f.evaluate({var("x1"): Fraction(3), var("x2"): Fraction(1, 2)})
         assert val == Fraction(11)
+
+    @staticmethod
+    def substituted_value(f, point):
+        """Reference value: substitute constants, then read the constant."""
+        try:
+            return f.substitute({v: Poly.const(q) for v, q in point.items()}).as_fraction()
+        except (ValueError, NonInvertibleSubstitution) as exc:
+            return type(exc)
+
+    def test_evaluate_matches_substitution(self):
+        rng = random.Random(2)
+        for _ in range(200):
+            inverse = Poly.variable(rng.choice(LAURENT_VARS[:2]), -rng.randint(1, 2))
+            f = random_poly(rng, LAURENT_VARS) + random_poly(rng, LAURENT_VARS) * inverse
+            point = {v: rng.choice([Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                    rng.randint(-3, 3)])
+                     for v in LAURENT_VARS if rng.random() < 0.9}
+            try:
+                got = f.evaluate(point)
+            except (ValueError, NonInvertibleSubstitution) as exc:
+                got = type(exc)
+            assert got == self.substituted_value(f, point)
+            if not isinstance(got, type):
+                assert type(got) is Fraction
+
+    def test_evaluate_errors(self):
+        with pytest.raises(ValueError):
+            parse_poly("x1 + b1").evaluate({var("x1"): 2})
+        with pytest.raises(NonInvertibleSubstitution):
+            parse_poly("x1^-1").evaluate({var("x1"): 0})
+        # an unbound variable whose terms vanish leaves a constant
+        f = parse_poly("b1*x2 + 3")
+        assert f.evaluate({var("b1"): 0}) == Fraction(3) == \
+            self.substituted_value(f, {var("b1"): 0})
 
 
 class TestCollect:
