@@ -15,6 +15,7 @@ on them individually.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -24,11 +25,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .haantjes import (OperatorField, as_operator, conservation_check,
                        haantjes, is_haantjes_zero, nijenhuis)
-from .ideals import (Ideal, buchberger, default_order, haantjes_zero_ideal,
+from .ideals import (Ideal, default_order, haantjes_zero_ideal,
                      hilbert_dimension, ideal_equal, linear_factor, member,
                      normal_form, radical_member, s_polynomial)
-from .killing import (catalog, compatible_family, family_operator,
-                      killing_residual, killing_space, span_equal)
+from .killing import (catalog, compatible_family, killing_residual,
+                      killing_space, span_equal)
 from .mechanics import (PhaseFunction, abundant_haantjes, build_integral,
                         condition_6b, functional_independence, haantjes_at,
                         hamiltonian, poisson, random_rational,
@@ -67,6 +68,16 @@ SYSTEMS: Dict[str, Tuple[Optional[str], Dict[str, str]]] = {
     "iv": (IV_RADICAL_TEXT, {}),
     "nonmaximal-3d": (None, {"mechanics": "nonmaximal-radial-mechanics"}),
 }
+
+
+@functools.cache
+def system_ideal(name: str) -> Ideal:
+    """The Haantjes-zero ideal of a catalog system's family, computed
+    once per process, so its Groebner basis (cached on the ideal) is
+    computed once too.  Every check shares the object: do not modify
+    it."""
+    return haantjes_zero_ideal(catalog()[name][1])
+
 
 # Solution branches of {J = 0}: each entry substitutes parameters and
 # must annihilate J identically.  The generic branch solves J for b1
@@ -156,6 +167,7 @@ def _b_binding(values) -> Dict[VarId, Fraction]:
     return {var(f"b{i + 1}"): Fraction(v) for i, v in enumerate(values)}
 
 
+@functools.cache
 def sw1_reference_ideal() -> Ideal:
     j = parse_poly(J_TEXT)
     return Ideal([parse_poly(s) * j for s in SW1_IDEAL_COFACTORS], _b_order())
@@ -275,8 +287,7 @@ def check_sw1_family() -> CheckResult:
 
 
 def check_sw1_ideal() -> CheckResult:
-    _, fam = catalog()["sw1"]
-    computed = haantjes_zero_ideal(fam)
+    computed = system_ideal("sw1")
     j = parse_poly(J_TEXT)
     reference = sw1_reference_ideal()
     principal = Ideal([j], _b_order())
@@ -299,8 +310,7 @@ def check_sw1_ideal() -> CheckResult:
 def check_sw1_radical_generator() -> CheckResult:
     """J lies in the radical of the Haantjes-zero ideal but not in the
     ideal itself."""
-    _, fam = catalog()["sw1"]
-    ideal = haantjes_zero_ideal(fam)
+    ideal = system_ideal("sw1")
     j = parse_poly(J_TEXT)
     payload = {"radical_generator": J_TEXT,
                "J_in_ideal": member(j, ideal),
@@ -412,7 +422,7 @@ def check_oscillator(seed: int = 0, points: int = 5) -> CheckResult:
     fam = compatible_family(killing_space(3), pot)
     six_constant = (len(fam.params) == 6
                     and span_equal(fam.basis(), reference.basis()))
-    ideal_zero = haantjes_zero_ideal(fam).generators == []
+    ideal_zero = system_ideal("oscillator").generators == []
     rng = random.Random(seed)
     p_zero = all(
         structural_tensor_at(fam, [random_rational(rng) for _ in range(3)]).is_zero()
@@ -428,8 +438,7 @@ def check_oscillator(seed: int = 0, points: int = 5) -> CheckResult:
 
 
 def check_oscillator_ideal() -> CheckResult:
-    _, fam = catalog()["oscillator"]
-    ideal = haantjes_zero_ideal(fam)
+    ideal = system_ideal("oscillator")
     ok = ideal.generators == []
     return CheckResult(
         name="oscillator-haantjes-zero-ideal", verdict=_verdict(ok),
@@ -438,8 +447,7 @@ def check_oscillator_ideal() -> CheckResult:
 
 
 def _radical_protocol(name: str, radical_text: str) -> Tuple[bool, Dict[str, object]]:
-    _, fam = catalog()[name]
-    computed = haantjes_zero_ideal(fam)
+    computed = system_ideal(name)
     g = parse_poly(radical_text)
     principal = Ideal([g], _b_order())
     divisible = all(member(f, principal) for f in computed.generators)
@@ -469,7 +477,7 @@ def check_oo_iv_radicals() -> CheckResult:
 
 
 def _nonmaximal_integrals():
-    pot, fam = catalog()["nonmaximal-3d"]
+    pot, _ = catalog()["nonmaximal-3d"]
     coeffs = {r: Poly.variable(var(f"a{r}")) for r in range(4)}
 
     def diag(entries: Sequence[str]) -> TensorField:
@@ -485,7 +493,7 @@ def _nonmaximal_integrals():
                "F3": diag(["0", "0", "1"]), "F5": k5}
     integrals = {label: build_integral(k, pot, coeffs)
                  for label, k in tensors.items()}
-    return pot, fam, coeffs, integrals
+    return pot, coeffs, integrals
 
 
 def check_nonmaximal_mechanics(seed: int = 0, trials: int = 10) -> CheckResult:
@@ -493,7 +501,7 @@ def check_nonmaximal_mechanics(seed: int = 0, trials: int = 10) -> CheckResult:
     reference integrals are reproduced exactly, Poisson-commute with
     the Hamiltonian, the joint rank of {H, F1, F2, F3, F5} is 5, and
     the four-parameter Killing family is identically Haantjes-zero."""
-    pot, fam, coeffs, integrals = _nonmaximal_integrals()
+    pot, coeffs, integrals = _nonmaximal_integrals()
     goldens = {label: integrals[label].poly == parse_poly(text)
                for label, text in F_GOLDENS.items()}
     h = hamiltonian(pot, coeffs)
@@ -501,7 +509,8 @@ def check_nonmaximal_mechanics(seed: int = 0, trials: int = 10) -> CheckResult:
                for label, f in integrals.items()}
     fs = [h] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
     rank = functional_independence(fs, trials=max(trials, 10), seed=seed)
-    family_zero, _ = is_haantjes_zero(family_operator(fam))
+    # the family's torsion vanishes exactly when its ideal has no generator
+    family_zero = not system_ideal("nonmaximal-3d").generators
     ok = (all(goldens.values()) and all(commute.values())
           and rank == 5 and family_zero)
     return CheckResult(
@@ -618,12 +627,8 @@ def check_groebner_confluence() -> CheckResult:
     """Every computed Groebner basis reduces all of its S-polynomials
     to zero (Buchberger's criterion)."""
     order = _b_order()
-    bases = {}
-    for name in ("sw1", "oo", "iv"):
-        _, fam = catalog()[name]
-        ideal = haantjes_zero_ideal(fam)
-        bases[name] = ideal.groebner()
-    bases["reference"] = buchberger(sw1_reference_ideal().generators, order)
+    bases = {name: system_ideal(name).groebner() for name in ("sw1", "oo", "iv")}
+    bases["reference"] = sw1_reference_ideal().groebner()
     ok = True
     for name, basis in bases.items():
         for i in range(len(basis)):
@@ -668,8 +673,7 @@ def _action_family(name: str, radical: Optional[str], seed: int,
 
 def _action_ideal(name: str, radical: Optional[str], seed: int,
                   trials: Optional[int]) -> CheckResult:
-    _, fam = catalog()[name]
-    ideal = haantjes_zero_ideal(fam)
+    ideal = system_ideal(name)
     return CheckResult(
         name=f"{name}-haantjes-zero-ideal", verdict="evidence-only",
         detail=f"Haantjes-zero ideal of the {name} family",

@@ -1,7 +1,8 @@
 """Groebner bases over the parameter subring Q[b1..bm] and the ideal
-queries built on them: membership, radical membership via the extended
-ring with an auxiliary variable, Hilbert dimension from leading
-monomials, and linear factors from rational roots on lines.
+queries built on them: membership, radical membership (the square
+first, then the extended ring with an auxiliary variable), Hilbert
+dimension from leading monomials, and linear factors from rational
+roots on lines.
 
 The engine is a plain Buchberger loop with the coprimality criterion
 and normal (smallest-lcm-first) pair selection, each pair keyed once
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .symalg import Monomial, Poly, VarId
 from .haantjes import haantjes
@@ -105,19 +106,22 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     """Remainder of full multivariate division of f by the basis: each
     step divides the leading term of what is left by the first basis
     element, in list order, whose leading monomial divides it."""
-    return _remainder(f, basis, [leading_term(g, order)[0] for g in basis], order)
+    return _remainder(f.terms, basis, [leading_term(g, order)[0] for g in basis],
+                      order)
 
 
-def _remainder(f: Poly, basis: Sequence[Poly], lms: Sequence[Monomial],
-               order: MonomialOrder) -> Poly:
-    """normal_form, given the leading monomial of each basis element.
+def _remainder(terms: Mapping[Monomial, Fraction], basis: Sequence[Poly],
+               lms: Sequence[Monomial], order: MonomialOrder) -> Poly:
+    """normal_form of the polynomial with the given terms (zero
+    coefficients allowed), given the leading monomial of each basis
+    element.
 
-    What is left of f is kept as coefficients by order key, with the
-    pending keys sorted; every term a division step brings in is smaller
-    than the term it removes, so each key is taken at most once."""
+    What is left is kept as coefficients by order key, with the pending
+    keys sorted; every term a division step brings in is smaller than
+    the term it removes, so each key is taken at most once."""
     monos: Dict[tuple, Monomial] = {}
     coeffs: Dict[tuple, Fraction] = {}
-    for m, q in f.terms.items():
+    for m, q in terms.items():
         k = order.key(m)
         monos[k] = m
         coeffs[k] = q
@@ -151,11 +155,23 @@ def _remainder(f: Poly, basis: Sequence[Poly], lms: Sequence[Monomial],
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
+    return Poly(_s_terms(f, leading_term(f, order)[0], g, leading_term(g, order)[0]))
+
+
+def _s_terms(f: Poly, fm: Monomial, g: Poly, gm: Monomial) -> Dict[Monomial, Fraction]:
+    """Terms of the S-polynomial of f and g, given their leading
+    monomials, without the leading terms, which cancel exactly; other
+    coefficients may cancel to zero and are kept."""
     l = _lcm_mono(fm, gm)
-    return (f * Poly.term(_quotient(l, fm), 1 / fc)
-            - g * Poly.term(_quotient(l, gm), 1 / gc))
+    out: Dict[Monomial, Fraction] = {}
+    for h, hm, sign in ((f, fm, 1), (g, gm, -1)):
+        t = _quotient(l, hm)
+        c = sign / h.terms[hm]
+        for m, q in h.terms.items():
+            if m != hm:
+                m = m * t
+                out[m] = out.get(m, 0) + c * q
+    return out
 
 
 def monic(f: Poly, order: MonomialOrder) -> Poly:
@@ -191,7 +207,8 @@ def buchberger(generators: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
         add_pairs(j)
     while pairs:
         _, i, j = pairs.pop(0)
-        rem = _remainder(s_polynomial(basis[i], basis[j], order), basis, lms, order)
+        rem = _remainder(_s_terms(basis[i], lms[i], basis[j], lms[j]),
+                         basis, lms, order)
         if not rem.is_zero():
             basis.append(rem)
             lms.append(leading_term(rem, order)[0])
@@ -256,8 +273,9 @@ _T = VarId("t", 1)
 
 
 def radical_member(f: Poly, ideal: Ideal) -> bool:
-    """Radical membership: 1 in I + <1 - t f> in the extended ring."""
-    if f.is_zero():
+    """Radical membership: f^2 in I (against I's own Groebner basis),
+    or else 1 in I + <1 - t f> in the extended ring."""
+    if f.is_zero() or member(f * f, ideal):
         return True
     ext_order = ideal.order.extend(_T)
     gens = list(ideal.generators) + [Poly.const(1) - Poly.variable(_T) * f]

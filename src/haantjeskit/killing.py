@@ -9,6 +9,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +33,12 @@ class EmptyFamily(KillingError):
     """Only the zero tensor is compatible with the potential."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KillingBasis:
     """Basis of the space of valence-2 Killing tensors on flat R^n."""
 
     dimension: int
-    elements: List[TensorField]
+    elements: Tuple[TensorField, ...]
 
     def __len__(self):
         return len(self.elements)
@@ -117,13 +118,16 @@ def killing_residual(k: TensorField) -> TensorField:
     return TensorField.from_function(n, (0, 3), comp)
 
 
+@functools.cache
 def killing_space(n: int) -> KillingBasis:
     """Exact basis of all valence-2 Killing tensors on flat R^n.
 
     Solves the Killing equation on the degree-<=2 component ansatz; the
     basis is returned in reduced echelon form over the documented
     unknown ordering (component pairs (i<=j) lexicographic, monomials
-    by graded order), so the output is deterministic.
+    by graded order), so the output is deterministic.  It is computed
+    once per n and process and shared: the basis is frozen and its
+    elements are a tuple.
     """
     if n not in (2, 3, 4):
         raise UnsupportedDimension(f"killing_space supports n in 2..4, got {n}")
@@ -173,7 +177,7 @@ def killing_space(n: int) -> KillingBasis:
         mat = [[comps.get(tuple(sorted((i, j))), Poly.zero()) for j in range(n)]
                for i in range(n)]
         elements.append(TensorField.from_matrix(mat))
-    return KillingBasis(dimension=n, elements=elements)
+    return KillingBasis(dimension=n, elements=tuple(elements))
 
 
 # ---- symmetric products of Killing vectors ----------------------------

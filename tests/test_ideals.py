@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from haantjeskit import checks
+from haantjeskit import checks, ideals
 from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 UnitIdeal, ZeroIdeal, buchberger,
                                 default_order, haantjes_zero_ideal,
@@ -188,6 +188,92 @@ class TestMembership:
         b = Ideal([parse_poly("b1"), parse_poly("b2")], order)
         assert ideal_equal(a, b)
         assert not ideal_equal(a, Ideal([parse_poly("b1")], order))
+
+
+_T = var("t1")
+
+
+def _rabinowitsch(f, ideal):
+    """Reference radical membership: 1 in I + <1 - t*f>."""
+    t = Poly.variable(_T)
+    return Ideal(list(ideal.generators) + [1 - t * f],
+                 ideal.order.extend(_T)).contains_one()
+
+
+def _radical_case(seed):
+    """A seeded f and an ideal holding f^k times a constant or a small
+    polynomial, and sometimes one more small generator."""
+    rng = random.Random(seed)
+    variables = B[:3]
+    f = _random_linear(rng, variables, rng.random() < 0.5)
+    if rng.random() < 0.5:
+        f = f * _random_linear(rng, variables, False)
+    h = (Poly.const(rng.randint(1, 5)) if rng.random() < 0.5
+         else _random_small(rng, variables, False))
+    gens = [f ** rng.randint(1, 3) * h]
+    gens += [_random_small(rng, variables, False) for _ in range(rng.randint(0, 1))]
+    return f, Ideal(gens, border(3))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The auxiliary-variable ideals that radical_member builds."""
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Ideal(*args)
+
+    monkeypatch.setattr(ideals, "Ideal", spy)
+    return built
+
+
+class TestRadicalSquare:
+    """radical_member tries f^2 against I's own basis before the
+    auxiliary-variable ideal."""
+
+    def test_square_decides(self, fallbacks):
+        ideal = Ideal([parse_poly("b1^2*b2^2"), parse_poly("b3^3 + b1")], border(3))
+        f = parse_poly("b1*b2")
+        assert not member(f, ideal)
+        assert radical_member(f, ideal)
+        assert fallbacks == []
+
+    def test_higher_power_needs_the_fallback(self, fallbacks):
+        ideal = Ideal([parse_poly("b1^3")], border(3))
+        assert not member(parse_poly("b1^2"), ideal)
+        assert radical_member(parse_poly("b1"), ideal)
+        assert len(fallbacks) == 1
+
+    def test_non_member_needs_the_fallback(self, fallbacks):
+        assert not radical_member(parse_poly("b1"), Ideal([parse_poly("b2")], border(3)))
+        assert len(fallbacks) == 1
+
+    def test_matches_the_rabinowitsch_reference(self):
+        outcomes = set()
+        for seed in range(40):
+            f, ideal = _radical_case(seed)
+            expected = _rabinowitsch(f, ideal)
+            assert radical_member(f, ideal) == expected, seed
+            outcomes.add((member(f * f, ideal), expected))
+        # the square decides some cases; the fallback says yes and no
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+class TestRadicalOracle:
+    """J^2 in I and J not in I for the catalog ideals, by sympy."""
+
+    @pytest.mark.parametrize("name", ["sw1", "oo", "iv"])
+    def test_square_in_ideal_but_not_generator(self, name):
+        sympy = pytest.importorskip("sympy")
+        ideal = checks.system_ideal(name)
+        gens = sympy.symbols([str(v) for v in ideal.order.variables])
+        basis = sympy.groebner(
+            [sympy.sympify(str(g).replace("^", "**")) for g in ideal.generators],
+            *gens, order="grevlex")
+        j = sympy.sympify(checks.SYSTEMS[name][0].replace("^", "**"))
+        assert basis.contains(j ** 2)
+        assert not basis.contains(j)
 
 
 class TestHilbertDimension:

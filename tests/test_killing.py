@@ -31,9 +31,12 @@ class TestKillingSpace:
                 assert killing_residual(k).is_zero()
 
     def test_deterministic(self):
-        a = killing_space(3).elements
-        b = killing_space(3).elements
-        assert a == b
+        # the cached basis against a fresh, uncached computation
+        assert killing_space(3).elements == killing_space.__wrapped__(3).elements
+
+    def test_shared_basis_is_read_only(self):
+        with pytest.raises(TypeError):
+            killing_space(3).elements[0] = killing_space(3).elements[1]
 
 
 class TestOneForms:

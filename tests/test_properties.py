@@ -1,0 +1,57 @@
+"""Property tests of the polynomial layer (skipped without hypothesis):
+ring axioms on small random Laurent polynomials and the
+str -> parse_poly round trip."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from haantjeskit.symalg import Monomial, Poly, parse_poly, var  # noqa: E402
+
+VARS = [var(s) for s in ("x1", "x2", "p1", "b1", "a0")]
+
+# only x-variables may carry negative exponents
+monomials = st.fixed_dictionaries(
+    {}, optional={v: st.integers(-2 if v.ns == "x" else 0, 3) for v in VARS}
+).map(Monomial)
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+polys = st.dictionaries(monomials, coefficients, max_size=4).map(Poly)
+
+SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@SETTINGS
+@given(polys, polys, polys)
+def test_associativity(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+
+
+@SETTINGS
+@given(polys, polys, polys)
+def test_distributivity(f, g, h):
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@SETTINGS
+@given(polys)
+def test_additive_inverse(f):
+    assert (f + (-f)).is_zero()
+    assert f - f == Poly.zero()
+
+
+@SETTINGS
+@given(polys)
+def test_str_parse_round_trip(f):
+    assert parse_poly(str(f)) == f
+
+
+def test_round_trip_of_a_fractional_laurent_poly():
+    f = Poly({Monomial({VARS[0]: -2, VARS[2]: 1}): Fraction(-3, 2),
+              Monomial.one(): Fraction(1, 3)})
+    assert parse_poly(str(f)) == f
