@@ -155,7 +155,13 @@ def _remainder(terms: Mapping[Monomial, Fraction], basis: Sequence[Poly],
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    return Poly(_s_terms(f, leading_term(f, order)[0], g, leading_term(g, order)[0]))
+    """S-polynomial by plain Poly arithmetic: the reference that checks
+    and tests hold buchberger's own _s_terms against."""
+    fm, fc = leading_term(f, order)
+    gm, gc = leading_term(g, order)
+    l = _lcm_mono(fm, gm)
+    return (f * Poly.term(_quotient(l, fm), 1 / fc)
+            - g * Poly.term(_quotient(l, gm), 1 / gc))
 
 
 def _s_terms(f: Poly, fm: Monomial, g: Poly, gm: Monomial) -> Dict[Monomial, Fraction]:

@@ -127,7 +127,8 @@ def killing_space(n: int) -> KillingBasis:
     unknown ordering (component pairs (i<=j) lexicographic, monomials
     by graded order), so the output is deterministic.  It is computed
     once per n and process and shared: the basis is frozen and its
-    elements are a tuple.
+    elements are a tuple, but the tensors themselves are not, so do not
+    modify them.
     """
     if n not in (2, 3, 4):
         raise UnsupportedDimension(f"killing_space supports n in 2..4, got {n}")

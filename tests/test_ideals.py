@@ -78,6 +78,19 @@ class TestBuchberger:
                 s = s_polynomial(basis[i], basis[j], order)
                 assert normal_form(s, basis, order).is_zero()
 
+    def test_internal_s_terms_match_the_reference(self):
+        # buchberger's own S-polynomials against plain Poly arithmetic
+        rng = random.Random(5)
+        order = border(3)
+        for _ in range(60):
+            f, g = (_random_small(rng, B[:3], False) * _random_linear(rng, B[:3], False)
+                    for _ in range(2))
+            if f.is_zero() or g.is_zero():
+                continue
+            terms = ideals._s_terms(f, leading_term(f, order)[0],
+                                    g, leading_term(g, order)[0])
+            assert Poly(terms) == s_polynomial(f, g, order)
+
     def test_normal_form_is_linear(self):
         order = border(3)
         basis = buchberger([parse_poly("b1^2 - b2")], order)

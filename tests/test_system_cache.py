@@ -1,5 +1,5 @@
-"""Per-process caches: each catalog system's Haantjes-zero ideal, the
-SW I reference ideal and the Killing spaces are computed once."""
+"""Per-process caches: each catalog system's Haantjes-zero ideal and
+the Killing spaces are computed once."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 from haantjeskit import checks
 from haantjeskit.killing import killing_space
 
-CACHES = (checks.system_ideal, checks.sw1_reference_ideal, killing_space)
+CACHES = (checks.system_ideal, killing_space)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -29,10 +29,10 @@ def test_import_and_catalog_fill_no_cache():
             "from haantjeskit import checks, killing\n"
             "killing.catalog()\n"
             "print([f.cache_info().currsize for f in (checks.system_ideal, "
-            "checks.sw1_reference_ideal, killing.killing_space)])\n")
+            "killing.killing_space)])\n")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    assert out.strip() == "[0, 0, 0]"
+    assert out.strip() == "[0, 0]"
 
 
 def test_one_miss_per_system_and_identical_results_after_clearing():
@@ -40,7 +40,6 @@ def test_one_miss_per_system_and_identical_results_after_clearing():
     first = _run_every_system()
     assert checks.system_ideal.cache_info().misses == len(checks.SYSTEMS)
     assert checks.system_ideal.cache_info().currsize == len(checks.SYSTEMS)
-    assert checks.sw1_reference_ideal.cache_info().misses == 1
     assert killing_space.cache_info().misses == 1
     _clear()
     assert _run_every_system() == first
