@@ -13,7 +13,7 @@ from .haantjes import (ConservationResidual, OperatorField, as_operator,
                        nijenhuis)
 from .killing import (EmptyFamily, KillingBasis, KillingFamily, PotentialSpec,
                       UnsupportedDimension, catalog, compatible_family,
-                      killing_residual, killing_space, symmetric_product)
+                      killing_residual, killing_space)
 from .ideals import (Ideal, MonomialOrder, UnitIdeal, ZeroIdeal, buchberger,
                      default_order, haantjes_zero_ideal, hilbert_dimension,
                      ideal_equal, linear_factor, member, normal_form,

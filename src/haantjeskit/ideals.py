@@ -92,14 +92,14 @@ def _quotient(b: Monomial, a: Monomial) -> Monomial:
     acc = dict(b.exps)
     for v, e in a.exps:
         acc[v] = acc.get(v, 0) - e
-    return Monomial(acc)
+    return Monomial._merged(acc)
 
 
 def _lcm_mono(a: Monomial, b: Monomial) -> Monomial:
     acc = dict(a.exps)
     for v, e in b.exps:
         acc[v] = max(acc.get(v, 0), e)
-    return Monomial(acc)
+    return Monomial._merged(acc)
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
@@ -151,7 +151,7 @@ def _remainder(terms: Mapping[Monomial, Fraction], basis: Sequence[Poly],
                 break
         else:
             remainder[lm] = q
-    return Poly(remainder)
+    return Poly._raw(remainder)
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -392,7 +392,7 @@ def linear_factor(f: Poly) -> List[Poly]:
     content = Monomial({v: min(m.exponent(v) for m in f.terms)
                         for v in f.variables()})
     factors = [Poly.variable(v) for v in content.variables()]
-    f0 = Poly({_quotient(m, content): q for m, q in f.terms.items()})
+    f0 = Poly._raw({_quotient(m, content): q for m, q in f.terms.items()})
 
     order = default_order(sorted(f.variables()))
     seen = {str(p) for p in factors}

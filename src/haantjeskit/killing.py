@@ -181,41 +181,6 @@ def killing_space(n: int) -> KillingBasis:
     return KillingBasis(dimension=n, elements=tuple(elements))
 
 
-# ---- symmetric products of Killing vectors ----------------------------
-
-
-def symmetric_product(v: TensorField, w: TensorField) -> TensorField:
-    """Symmetric product of two 1-forms: (v w)_ij = (v_i w_j + v_j w_i)/2."""
-    if v.valence != (0, 1) or w.valence != (0, 1):
-        raise TensorError("symmetric_product expects 1-forms")
-    n = v.n
-
-    def comp(idx):
-        i, j = idx
-        return (v[(i,)] * w[(j,)] + v[(j,)] * w[(i,)]) * Fraction(1, 2)
-
-    return TensorField.from_function(n, (0, 2), comp)
-
-
-def flat_killing_one_forms(n: int) -> List[TensorField]:
-    """The n translations dx_i followed by the n(n-1)/2 rotations
-    x_i dx_j - x_j dx_i, as 1-forms."""
-    forms = []
-    for i in range(n):
-        forms.append(TensorField.from_function(
-            n, (0, 1), lambda idx, i=i: Poly.const(1 if idx[0] == i else 0)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            def comp(idx, i=i, j=j):
-                if idx[0] == j:
-                    return Poly.variable(_x(i + 1))
-                if idx[0] == i:
-                    return -Poly.variable(_x(j + 1))
-                return Poly.zero()
-            forms.append(TensorField.from_function(n, (0, 1), comp))
-    return forms
-
-
 # ---- vectorization helpers --------------------------------------------
 
 

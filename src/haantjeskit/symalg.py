@@ -79,6 +79,10 @@ def _var_key(v: VarId) -> Tuple[int, int]:
     return (_NS_RANK[v.ns], v.index)
 
 
+def _item_key(item: Tuple[VarId, int]) -> Tuple[int, int]:
+    return _var_key(item[0])
+
+
 class Monomial:
     """A product of variable powers, stored as a sorted tuple of
     (VarId, exponent) pairs with no zero exponents."""
@@ -94,12 +98,26 @@ class Monomial:
             if e < 0 and v.ns != "x":
                 raise ValueError(f"negative exponent on {v} (only x-variables are Laurent)")
             kept.append((v, int(e)))
-        kept.sort(key=lambda it: _var_key(it[0]))
+        kept.sort(key=_item_key)
         self.exps = tuple(kept)
 
     @classmethod
+    def _raw(cls, exps: Tuple[Tuple[VarId, int], ...]) -> "Monomial":
+        """Trusted constructor: `exps` is already sorted, with no zero
+        exponent and negative exponents only on x-variables."""
+        m = object.__new__(cls)
+        m.exps = exps
+        return m
+
+    @classmethod
+    def _merged(cls, acc: Mapping[VarId, int]) -> "Monomial":
+        """Trusted constructor from a valid exponent map that may hold
+        zero exponents, such as the merge of two valid monomials."""
+        return cls._raw(tuple(sorted([it for it in acc.items() if it[1]], key=_item_key)))
+
+    @classmethod
     def one(cls) -> "Monomial":
-        return cls(())
+        return cls._raw(())
 
     @classmethod
     def of(cls, v: VarId, e: int = 1) -> "Monomial":
@@ -112,10 +130,16 @@ class Monomial:
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        # Only x-exponents can be negative in either factor, so the
+        # product is valid and needs no re-validation.
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         acc = dict(self.exps)
         for v, e in other.exps:
             acc[v] = acc.get(v, 0) + e
-        return Monomial(acc)
+        return Monomial._merged(acc)
 
     def exponent(self, v: VarId) -> int:
         for w, e in self.exps:
@@ -132,9 +156,9 @@ class Monomial:
 
     def split(self, namespaces) -> Tuple["Monomial", "Monomial"]:
         """Split into (part in `namespaces`, remainder)."""
-        inside = [(v, e) for v, e in self.exps if v.ns in namespaces]
-        outside = [(v, e) for v, e in self.exps if v.ns not in namespaces]
-        return Monomial(inside), Monomial(outside)
+        inside = tuple((v, e) for v, e in self.exps if v.ns in namespaces)
+        outside = tuple((v, e) for v, e in self.exps if v.ns not in namespaces)
+        return Monomial._raw(inside), Monomial._raw(outside)
 
     def sort_key(self):
         # Graded ordering on the canonical variable sequence; used only
@@ -168,9 +192,10 @@ class Poly:
 
     def __init__(self, terms: Mapping[Monomial, Scalar] = ()):
         kept: Dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for m, q in items:
-            q = Fraction(q)
+            if type(q) is not Fraction:
+                q = Fraction(q)
             if q:
                 kept[m] = q
         self.terms = kept
@@ -178,22 +203,32 @@ class Poly:
     # ---- constructors -------------------------------------------------
 
     @classmethod
+    def _raw(cls, terms: Dict[Monomial, Fraction]) -> "Poly":
+        """Trusted constructor: wraps, without copying, a dict that
+        already holds only nonzero Fraction coefficients."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._raw({})
 
     @classmethod
     def const(cls, q: Scalar) -> "Poly":
-        return cls({Monomial.one(): Fraction(q)})
+        return cls.term(Monomial.one(), q)
 
     @classmethod
     def variable(cls, v: Union[VarId, str], e: int = 1) -> "Poly":
         if isinstance(v, str):
             v = var(v)
-        return cls({Monomial.of(v, e): Fraction(1)})
+        return cls._raw({Monomial.of(v, e): Fraction(1)})
 
     @classmethod
     def term(cls, m: Monomial, q: Scalar) -> "Poly":
-        return cls({m: Fraction(q)})
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return cls._raw({m: q} if q else {})
 
     # ---- predicates ---------------------------------------------------
 
@@ -229,31 +264,31 @@ class Poly:
         return Poly.const(other)
 
     def __add__(self, other: PolyLike) -> "Poly":
-        other = self._coerce(other)
-        acc = dict(self.terms)
-        for m, q in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + q
-        return Poly(acc)
+        return Poly._raw(_add_terms(self.terms, self._coerce(other).terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -q for m, q in self.terms.items()})
+        return Poly._raw({m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other: PolyLike) -> "Poly":
-        return self + (-self._coerce(other))
+        return Poly._raw(_add_terms(self.terms, self._coerce(other).terms, -1))
 
     def __rsub__(self, other: PolyLike) -> "Poly":
-        return self._coerce(other) + (-self)
+        return Poly._raw(_add_terms(self._coerce(other).terms, self.terms, -1))
 
     def __mul__(self, other: PolyLike) -> "Poly":
         other = self._coerce(other)
         acc: Dict[Monomial, Fraction] = {}
+        get = acc.get
         for m1, q1 in self.terms.items():
             for m2, q2 in other.terms.items():
                 m = m1 * m2
-                acc[m] = acc.get(m, Fraction(0)) + q1 * q2
-        return Poly(acc)
+                q = get(m)
+                acc[m] = q1 * q2 if q is None else q + q1 * q2
+        # A cancelled term keeps its place until the end, so a later
+        # product landing on the same monomial does not reorder terms.
+        return Poly._raw({m: q for m, q in acc.items() if q})
 
     __rmul__ = __mul__
 
@@ -281,32 +316,30 @@ class Poly:
 
     def diff(self, v: VarId) -> "Poly":
         """Term-wise power-rule derivative with respect to v."""
+        # Distinct terms have distinct derivatives, so nothing collects.
         acc: Dict[Monomial, Fraction] = {}
         for m, q in self.terms.items():
             e = m.exponent(v)
-            if e == 0:
-                continue
-            rest = dict(m.exps)
-            rest[v] = e - 1
-            mm = Monomial(rest)
-            acc[mm] = acc.get(mm, Fraction(0)) + q * e
-        return Poly(acc)
+            if e:
+                exps = tuple((w, k - 1) if w == v else (w, k)
+                             for w, k in m.exps if w != v or k != 1)
+                acc[Monomial._raw(exps)] = q * e
+        return Poly._raw(acc)
 
     def integrate(self, v: VarId) -> "Poly":
         """Antiderivative in v with zero integration constant.
 
         Raises LogarithmicTerm if any term has exponent -1 in v.
         """
+        # Distinct terms have distinct antiderivatives, so nothing collects.
+        step = Monomial.of(v)
         acc: Dict[Monomial, Fraction] = {}
         for m, q in self.terms.items():
             e = m.exponent(v)
             if e == -1:
                 raise LogarithmicTerm(f"term {m} integrates to a logarithm in {v}")
-            rest = dict(m.exps)
-            rest[v] = e + 1
-            mm = Monomial(rest)
-            acc[mm] = acc.get(mm, Fraction(0)) + q / (e + 1)
-        return Poly(acc)
+            acc[m * step] = q / (e + 1)
+        return Poly._raw(acc)
 
     # ---- substitution and collection ----------------------------------
 
@@ -340,12 +373,14 @@ class Poly:
         `namespaces` and whose values contain none of them; the sum of
         key * value over the map reproduces the polynomial.
         """
+        # A monomial is the product of its two parts in exactly one way,
+        # so no coefficient collects or cancels.
         namespaces = frozenset(namespaces)
-        out: Dict[Monomial, Poly] = {}
+        groups: Dict[Monomial, Dict[Monomial, Fraction]] = {}
         for m, q in self.terms.items():
             inside, outside = m.split(namespaces)
-            out[inside] = out.get(inside, Poly.zero()) + Poly.term(outside, q)
-        return {m: p for m, p in out.items() if not p.is_zero()}
+            groups.setdefault(inside, {})[outside] = q
+        return {m: Poly._raw(terms) for m, terms in groups.items()}
 
     def evaluate(self, point: Mapping[VarId, Scalar]) -> Fraction:
         """Evaluate at a rational point binding every variable.
@@ -395,6 +430,24 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({str(self)})"
+
+
+def _add_terms(a: Dict[Monomial, Fraction], b: Dict[Monomial, Fraction],
+               sign: int) -> Dict[Monomial, Fraction]:
+    """Term map of a + sign*b (sign is 1 or -1); a term that cancels is
+    removed where it cancels."""
+    acc = dict(a)
+    for m, q in b.items():
+        r = acc.get(m)
+        if r is None:
+            acc[m] = q if sign > 0 else -q
+        else:
+            r = r + q if sign > 0 else r - q
+            if r:
+                acc[m] = r
+            else:
+                del acc[m]
+    return acc
 
 
 def _invert_power(v: VarId, repl: Poly, e: int) -> Poly:

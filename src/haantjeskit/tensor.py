@@ -50,11 +50,6 @@ class TensorField:
         return cls(n, valence, [f(idx) for idx in itertools.product(range(n), repeat=r + s)])
 
     @classmethod
-    def identity_operator(cls, n: int) -> "TensorField":
-        return cls.from_function(n, (1, 1),
-                                 lambda ij: Poly.const(1 if ij[0] == ij[1] else 0))
-
-    @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[Poly]], valence: Tuple[int, int] = (0, 2)) -> "TensorField":
         n = len(rows)
         flat = [Poly._coerce(x) for row in rows for x in row]

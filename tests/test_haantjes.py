@@ -11,6 +11,7 @@ from haantjeskit.haantjes import (OperatorField, as_operator,
 from haantjeskit.symalg import Poly, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField, hessian_operator
 from .test_symalg import random_poly
+from .test_tensor import identity_operator
 
 XS = [var(s) for s in ("x1", "x2", "x3")]
 
@@ -57,7 +58,7 @@ class TestAlgebraicProperties:
                 lambda p: p * Poly.const(c ** 4))
 
     def test_identity_operator_torsion_free(self):
-        a = OperatorField(TensorField.identity_operator(3))
+        a = OperatorField(identity_operator(3))
         assert nijenhuis(a).is_zero()
         assert haantjes(a).is_zero()
 

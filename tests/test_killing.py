@@ -8,10 +8,40 @@ from haantjeskit.haantjes import is_haantjes_zero
 from haantjeskit.killing import (EmptyFamily, KillingError,
                                  UnsupportedDimension, catalog,
                                  compatible_family, family_operator,
-                                 flat_killing_one_forms, killing_residual,
-                                 killing_space, span_equal, symmetric_product,
+                                 killing_residual, killing_space, span_equal,
                                  PotentialSpec)
 from haantjeskit.symalg import Poly, parse_poly, var
+from haantjeskit.tensor import TensorField
+
+
+# Killing tensors of flat space as symmetric products of Killing vectors:
+# an independent construction to hold killing_space against.
+
+def symmetric_product(v, w):
+    """Symmetric product of two 1-forms: (v w)_ij = (v_i w_j + v_j w_i)/2."""
+    def comp(idx):
+        i, j = idx
+        return (v[(i,)] * w[(j,)] + v[(j,)] * w[(i,)]) * Fraction(1, 2)
+
+    return TensorField.from_function(v.n, (0, 2), comp)
+
+
+def flat_killing_one_forms(n):
+    """The n translations dx_i followed by the n(n-1)/2 rotations
+    x_i dx_j - x_j dx_i, as 1-forms."""
+    forms = [TensorField.from_function(
+        n, (0, 1), lambda idx, i=i: Poly.const(1 if idx[0] == i else 0))
+        for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            def comp(idx, i=i, j=j):
+                if idx[0] == j:
+                    return Poly.variable(var(f"x{i + 1}"))
+                if idx[0] == i:
+                    return -Poly.variable(var(f"x{j + 1}"))
+                return Poly.zero()
+            forms.append(TensorField.from_function(n, (0, 1), comp))
+    return forms
 
 
 class TestKillingSpace:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from haantjeskit import checks
 from haantjeskit.killing import catalog
 from haantjeskit.mechanics import (DegenerateK, NotCompatible, PhaseFunction,
                                    abundant_haantjes, build_integral,
@@ -14,6 +15,7 @@ from haantjeskit.mechanics import (DegenerateK, NotCompatible, PhaseFunction,
                                    random_rational, structural_tensor_at)
 from haantjeskit.symalg import Poly, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField
+from .test_tensor import identity_operator
 
 
 def phase(n, text):
@@ -104,6 +106,23 @@ class TestFunctionalIndependence:
         assert functional_independence(fs, trials=10, seed=0) == 3
         assert functional_independence([h] + fs, trials=10, seed=0) == 3
 
+    def test_radial_rank_matches_sympy_jacobian(self):
+        """{H, F1, F2, F3, F5}: the exact rank of the symbolic Jacobian
+        over Q(x, p, a), by sympy, equals the sampled in-repo rank."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        pot, coeffs, integrals = checks._nonmaximal_integrals()
+        fs = [hamiltonian(pot, coeffs)] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
+        exprs = [sympy.sympify(str(f.poly).replace("^", "**")) for f in fs]
+        phase_vars = sympy.symbols("x1 x2 x3 p1 p2 p3")
+        jac = sympy.Matrix([[sympy.diff(e, v) for v in phase_vars] for e in exprs])
+        symbols = sorted(set().union(*(e.free_symbols for e in exprs)), key=str)
+        field = sympy.QQ.frac_field(*symbols)
+        rank = DomainMatrix.from_Matrix(jac).convert_to(field).rank()
+        assert rank == 4
+        assert functional_independence(fs, trials=10, seed=0) == rank
+
 
 class TestStructuralTensor:
     def test_oscillator_vanishes(self):
@@ -164,4 +183,4 @@ class TestCondition6b:
 
     def test_operator_rejected(self):
         with pytest.raises(TensorError):
-            condition_6b(TensorField.identity_operator(3))
+            condition_6b(identity_operator(3))

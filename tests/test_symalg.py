@@ -22,6 +22,48 @@ def random_poly(rng, variables, max_terms=4, max_degree=4):
 
 VARS = [var(s) for s in ("x1", "x2", "x3", "b1", "b2", "p1")]
 LAURENT_VARS = [var(s) for s in ("x1", "x2", "p1", "p2", "b1", "b2", "a0", "a1")]
+LAURENT_XB = [var(s) for s in ("x1", "x2", "x3", "b1", "b2")]
+
+
+def random_laurent(rng, max_terms=5):
+    """Poly built only by the validating public constructors: exponents
+    in -2..3 on x-variables and 0..3 on b-variables."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = {v: rng.randint(-2 if v.ns == "x" else 0, 3)
+                for v in rng.sample(LAURENT_XB, rng.randint(0, 3))}
+        terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Poly(terms)
+
+
+def public(pairs):
+    """Poly of (exponent map, coefficient) pairs, each monomial and the
+    sum built by the validating public constructors."""
+    acc = {}
+    for exps, q in pairs:
+        m = Monomial(exps)
+        acc[m] = acc.get(m, 0) + q
+    return Poly(acc)
+
+
+def shifted(m, v, de):
+    exps = dict(m.exps)
+    exps[v] = exps.get(v, 0) + de
+    return exps
+
+
+def products(f, g):
+    """(exponent map, coefficient) of every term pair of f and g."""
+    return [({w: m1.exponent(w) + m2.exponent(w) for w in LAURENT_XB}, q1 * q2)
+            for m1, q1 in f.terms.items() for m2, q2 in g.terms.items()]
+
+
+def assert_canonical(p):
+    """Only nonzero Fraction coefficients, on monomials that the
+    validating constructor rebuilds unchanged."""
+    for m, q in p.terms.items():
+        assert type(q) is Fraction and q != 0
+        assert Monomial(dict(m.exps)).exps == m.exps
 
 
 class TestRingAxioms:
@@ -38,9 +80,10 @@ class TestRingAxioms:
     def test_cancellation_is_canonical(self):
         rng = random.Random(1)
         for _ in range(20):
-            f = random_poly(rng, VARS)
-            assert (f - f).terms == {}
-            assert (f - f).is_zero()
+            for f in (random_poly(rng, VARS), random_laurent(rng)):
+                assert (f - f).terms == {}
+                assert (f - f).is_zero()
+                assert (f + (-f)).terms == {} and (f * 0).terms == {}
 
     def test_power(self):
         f = parse_poly("x1 + 1")
@@ -184,3 +227,95 @@ class TestStr:
 
     def test_zero(self):
         assert str(Poly.zero()) == "0"
+
+
+class TestCanonicalResults:
+    """Ring operations build their results without re-validation; each
+    result must still be canonical and equal its rebuild through the
+    validating public constructors."""
+
+    def test_ring_operations_match_public_rebuild(self):
+        rng = random.Random(11)
+        for _ in range(250):
+            f, g = random_laurent(rng), random_laurent(rng)
+            draw = rng.random()
+            if draw < 0.3:
+                g = g - f  # many coefficients of f + g cancel
+            elif draw < 0.6:
+                # f = u + w and g = u - w: the cross terms of f * g cancel
+                half = list(f.terms.items())[::2]
+                g = f - Poly(dict(half)) * 2
+            fg = [(dict(m.exps), q) for m, q in f.terms.items()]
+            gg = [(dict(m.exps), q) for m, q in g.terms.items()]
+            v = rng.choice(LAURENT_XB)
+            expected = {
+                "add": (f + g, public(fg + gg)),
+                "sub": (f - g, public(fg + [(e, -q) for e, q in gg])),
+                "neg": (-f, public([(e, -q) for e, q in fg])),
+                "mul": (f * g, public(products(f, g))),
+                "pow": (f ** 2, public(products(f, f))),
+                "diff": (f.diff(v), public([(shifted(m, v, -1), q * m.exponent(v))
+                                            for m, q in f.terms.items()
+                                            if m.exponent(v)])),
+                "rsub": (3 - f, public([({}, 3)] + [(e, -q) for e, q in fg])),
+            }
+            if all(m.exponent(v) != -1 for m in f.terms):
+                expected["integrate"] = (
+                    f.integrate(v),
+                    public([(shifted(m, v, 1), q / (m.exponent(v) + 1))
+                            for m, q in f.terms.items()]))
+            w = rng.choice(LAURENT_XB[:3])
+            expected["substitute"] = (
+                f.substitute({w: Poly.term(Monomial({w: 1}), 2)}),
+                public([(e, q * Fraction(2) ** e.get(w, 0)) for e, q in fg]))
+            for name, (got, want) in expected.items():
+                assert_canonical(got)
+                assert got.terms == want.terms, name
+            grouped = f.collect(("x",))
+            for key, part in grouped.items():
+                assert_canonical(part)
+                assert part.terms and all(v.ns == "x" for v in key.variables())
+            assert public([(dict((key * m).exps), q) for key, part in grouped.items()
+                           for m, q in part.terms.items()]).terms == f.terms
+
+    def test_laurent_cancellation(self):
+        x1 = var("x1")
+        assert Monomial.of(x1) * Monomial.of(x1, -1) == Monomial.one()
+        assert (Monomial.of(x1) * Monomial.of(x1, -1)).exps == ()
+        p = Poly.variable(x1) * Poly.variable(x1, -1)
+        assert p == Poly.const(1)
+        assert list(p.terms) == [Monomial.one()]
+        assert parse_poly("x1^-1*b1").diff(x1).terms == parse_poly("-1*x1^-2*b1").terms
+        assert parse_poly("x1^-2").integrate(x1) == parse_poly("-1*x1^-1")
+
+    def test_public_constructor_errors_unchanged(self):
+        b1 = var("b1")
+        with pytest.raises(ValueError):
+            Monomial({b1: -1})
+        m = Monomial.of(b1)
+        assert Poly({m: 0}).terms == {}
+        stored = Poly({m: 1}).terms[m]
+        assert stored == 1 and type(stored) is Fraction
+        assert Poly([(m, Fraction(1, 2))]).terms == {m: Fraction(1, 2)}
+        assert Poly.term(m, 0).terms == {}
+        assert Poly.const(0).is_zero()
+
+
+class TestSympyOracle:
+    """+, -, * and diff against sympy.expand on seeded Laurent polynomials."""
+
+    def test_ring_operations(self):
+        sympy = pytest.importorskip("sympy")
+
+        def expr(p):
+            return sympy.sympify(str(p).replace("^", "**"))
+
+        rng = random.Random(13)
+        for _ in range(60):
+            f, g = random_laurent(rng), random_laurent(rng)
+            ef, eg = expr(f), expr(g)
+            assert sympy.expand(expr(f * g) - ef * eg) == 0
+            assert sympy.expand(expr(f + g) - (ef + eg)) == 0
+            assert sympy.expand(expr(f - g) - (ef - eg)) == 0
+            v = rng.choice(LAURENT_XB)
+            assert sympy.expand(expr(f.diff(v)) - sympy.diff(ef, sympy.Symbol(str(v)))) == 0

@@ -12,6 +12,12 @@ from .test_symalg import random_poly
 XS = [var(s) for s in ("x1", "x2", "x3")]
 
 
+def identity_operator(n):
+    """The identity operator field on R^n."""
+    return TensorField.from_function(
+        n, (1, 1), lambda ij: Poly.const(1 if ij[0] == ij[1] else 0))
+
+
 def random_tensor(rng, n, valence):
     return TensorField.from_function(
         n, valence, lambda idx: random_poly(rng, XS[:n], max_terms=2,
@@ -20,7 +26,7 @@ def random_tensor(rng, n, valence):
 
 class TestBasics:
     def test_identity(self):
-        a = TensorField.identity_operator(3)
+        a = identity_operator(3)
         assert a[(0, 0)] == Poly.const(1)
         assert a[(0, 1)].is_zero()
 
