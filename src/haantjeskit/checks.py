@@ -25,9 +25,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .haantjes import (OperatorField, as_operator, conservation_check,
                        haantjes, is_haantjes_zero, nijenhuis)
-from .ideals import (Ideal, default_order, haantjes_zero_ideal,
-                     hilbert_dimension, ideal_equal, linear_factor, member,
-                     normal_form, radical_member, s_polynomial)
+from .ideals import (Ideal, MonomialOrder, default_order,
+                     haantjes_zero_ideal, hilbert_dimension, ideal_equal,
+                     linear_factor, member, normal_form, radical_member,
+                     s_polynomial)
 from .killing import (catalog, compatible_family, killing_residual,
                       killing_space, span_equal)
 from .mechanics import (PhaseFunction, abundant_haantjes, build_integral,
@@ -159,8 +160,10 @@ def run_check(fn: Callable[..., CheckResult], *args, **kwargs) -> CheckResult:
     return result
 
 
-def _b_order():
-    return default_order([var(f"b{i}") for i in range(1, 7)])
+def _family_order(name: str) -> MonomialOrder:
+    """Order on a catalog system's parameter ring: the order
+    `haantjes_zero_ideal` uses for that system's family."""
+    return default_order(sorted(catalog()[name][1].params))
 
 
 def _b_binding(values) -> Dict[VarId, Fraction]:
@@ -169,7 +172,7 @@ def _b_binding(values) -> Dict[VarId, Fraction]:
 
 def sw1_reference_ideal() -> Ideal:
     j = parse_poly(J_TEXT)
-    return Ideal([parse_poly(s) * j for s in SW1_IDEAL_COFACTORS], _b_order())
+    return Ideal([parse_poly(s) * j for s in SW1_IDEAL_COFACTORS], _family_order("sw1"))
 
 
 # ---- Hessian operator fields ------------------------------------------
@@ -289,7 +292,7 @@ def check_sw1_ideal() -> CheckResult:
     computed = system_ideal("sw1")
     j = parse_poly(J_TEXT)
     reference = sw1_reference_ideal()
-    principal = Ideal([j], _b_order())
+    principal = Ideal([j], _family_order("sw1"))
     equal = ideal_equal(computed, reference)
     divisible = all(member(g, principal) for g in computed.generators)
     j_member = member(j, computed)
@@ -326,7 +329,7 @@ def check_sw1_radical_primality() -> CheckResult:
     toolkit certifies the dimension and the absence of linear factors
     but implements no primality test."""
     j = parse_poly(J_TEXT)
-    dim = hilbert_dimension(Ideal([j], _b_order()))
+    dim = hilbert_dimension(Ideal([j], _family_order("sw1")))
     factors = [str(f) for f in linear_factor(j)]
     return CheckResult(
         name="sw1-radical-primality",
@@ -449,7 +452,7 @@ def check_oscillator_ideal() -> CheckResult:
 def _radical_protocol(name: str, radical_text: str) -> Tuple[bool, Dict[str, object]]:
     computed = system_ideal(name)
     g = parse_poly(radical_text)
-    principal = Ideal([g], _b_order())
+    principal = Ideal([g], _family_order(name))
     divisible = all(member(f, principal) for f in computed.generators)
     g_member = member(g, computed)
     g_radical = radical_member(g, computed)
@@ -626,11 +629,11 @@ def check_poisson_jacobi(seed: int = 0, count: int = 50) -> CheckResult:
 def check_groebner_confluence() -> CheckResult:
     """Every computed Groebner basis reduces all of its S-polynomials
     to zero (Buchberger's criterion)."""
-    order = _b_order()
-    bases = {name: system_ideal(name).groebner() for name in ("sw1", "oo", "iv")}
-    bases["reference"] = sw1_reference_ideal().groebner()
+    ideals = {name: system_ideal(name) for name in ("sw1", "oo", "iv")}
+    ideals["reference"] = sw1_reference_ideal()
     ok = True
-    for name, basis in bases.items():
+    for ideal in ideals.values():
+        basis, order = ideal.groebner(), ideal.order
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 if not normal_form(s_polynomial(basis[i], basis[j], order),
@@ -640,7 +643,7 @@ def check_groebner_confluence() -> CheckResult:
         name="groebner-s-pair-confluence",
         verdict=_verdict(ok),
         detail="all S-polynomials of every computed basis reduce to zero",
-        payload={"bases": {k: len(v) for k, v in bases.items()}},
+        payload={"bases": {k: len(v.groebner()) for k, v in ideals.items()}},
     )
 
 
@@ -701,7 +704,7 @@ def _action_dimension(name: str, radical: Optional[str], seed: int,
             name=f"{name}-hilbert-dimension", verdict="evidence-only",
             detail="zero ideal: the full parameter space (dimension 6)",
             payload={"dimension": 6})
-    dim = hilbert_dimension(Ideal([parse_poly(radical)], _b_order()))
+    dim = hilbert_dimension(Ideal([parse_poly(radical)], _family_order(name)))
     return CheckResult(
         name=f"{name}-hilbert-dimension", verdict=_verdict(dim == 5),
         detail="Hilbert dimension of the radical Haantjes-zero ideal",

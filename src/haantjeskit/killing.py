@@ -1,10 +1,12 @@
 """Killing tensors on flat space and the compatible families of the
 second-order superintegrable systems this package reproduces.
 
-The full valence-2 Killing space is obtained by an exact linear solve
-on the degree-<=2 polynomial ansatz; the classical construction via
-symmetric products of Killing vector fields is kept alongside as an
-independent cross-check.
+Both the full valence-2 Killing space and a potential's compatible
+family are exact linear solves of one kind: the x-coefficients of the
+residual of a generic combination of candidate tensors (the degree-<=2
+component ansatz, or the Killing basis) are linear conditions on the
+combination's coefficients.  The tests hold the Killing space against
+the classical construction from symmetric products of Killing vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .symalg import Monomial, Poly, VarId, parse_poly
@@ -87,20 +89,67 @@ class PotentialSpec:
     generators: List[Poly]
 
 
+# ---- linear conditions on a generic combination ----------------------
+
+
+def _solve(n: int, candidates: Sequence[TensorField],
+           residuals: Callable[[TensorField], List[Poly]]) -> List[TensorField]:
+    """Reduced echelon basis of the combinations sum_u c_u T_u of the
+    candidate (0,2) tensors on R^n whose residual components all vanish
+    in x.
+
+    `residuals` maps the generic combination, whose components are
+    linear in fresh c-variables, to the components that must vanish;
+    each x-coefficient of each is one linear row in the c_u.  The echelon
+    form is taken over the candidates' order, so the result is unique.
+    """
+    cs = [Monomial.of(VarId("c", u)) for u in range(len(candidates))]
+    col = {c: u for u, c in enumerate(cs)}
+    # distinct (candidate, x-monomial) pairs give distinct monomials
+    generic = TensorField.from_function(n, (0, 2), lambda idx: Poly._raw(
+        {m * c: q for t, c in zip(candidates, cs) for m, q in t[idx].terms.items()}))
+    rows: List[List[Fraction]] = []
+    for comp in residuals(generic):
+        for coeff in comp.collect(("x",)).values():
+            row = [Fraction(0)] * len(cs)
+            for c, q in coeff.terms.items():
+                row[col[c]] = q
+            rows.append(row)
+    echelon, _ = linalg.rref(linalg.nullspace(rows, ncols=len(cs)))
+
+    elements = []
+    for vec in echelon:
+        t = TensorField.zero(n, (0, 2))
+        for cand, q in zip(candidates, vec):
+            if q:
+                t = t + cand.scale(q)
+        elements.append(t)
+    return elements
+
+
+def span_equal(a: Sequence[TensorField], b: Sequence[TensorField]) -> bool:
+    """Whether two lists of tensors of one shape span the same space."""
+    keys: Dict[Tuple[int, Monomial], int] = {}
+    for t in (*a, *b):
+        for c, comp in enumerate(t.components):
+            for m in comp.terms:
+                keys.setdefault((c, m), len(keys))
+
+    def row(t: TensorField) -> List[Fraction]:
+        r = [Fraction(0)] * len(keys)
+        for c, comp in enumerate(t.components):
+            for m, q in comp.terms.items():
+                r[keys[(c, m)]] = q
+        return r
+
+    return linalg.row_space_equal([row(t) for t in a], [row(t) for t in b])
+
+
 # ---- the full Killing space -------------------------------------------
 
 
 def _x(i: int) -> VarId:
     return VarId("x", i)
-
-
-def _degree2_monomials(n: int) -> List[Monomial]:
-    monos = [Monomial.one()]
-    monos += [Monomial.of(_x(i + 1)) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            monos.append(Monomial.of(_x(i + 1)) * Monomial.of(_x(j + 1)))
-    return monos
 
 
 def killing_residual(k: TensorField) -> TensorField:
@@ -132,91 +181,22 @@ def killing_space(n: int) -> KillingBasis:
     """
     if n not in (2, 3, 4):
         raise UnsupportedDimension(f"killing_space supports n in 2..4, got {n}")
-    monos = sorted(_degree2_monomials(n), key=lambda m: m.sort_key())
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    unknowns = [(pq, m) for pq in pairs for m in monos]
-    col = {u: c for c, u in enumerate(unknowns)}
+    xs = [Monomial.of(_x(i + 1)) for i in range(n)]
+    monos = [Monomial.one()] + xs + [a * b for a, b in
+                                     itertools.combinations_with_replacement(xs, 2)]
+    monos.sort(key=lambda m: m.sort_key())
+    candidates = [
+        TensorField.from_function(n, (0, 2), lambda idx, pq=pq, m=m: (
+            Poly.term(m, 1) if tuple(sorted(idx)) == pq else Poly.zero()))
+        for pq in itertools.combinations_with_replacement(range(n), 2)
+        for m in monos]
 
-    rows: List[List[Fraction]] = []
-    for i, j, m in itertools.combinations_with_replacement(range(n), 3):
-        # coefficient rows of K_ij,m + K_jm,i + K_mi,j per x-monomial
-        acc: Dict[Monomial, Dict[int, Fraction]] = {}
-        for (a, b), mono in unknowns:
-            contribs = []
-            if (a, b) == tuple(sorted((i, j))):
-                contribs.append(_x(m + 1))
-            if (a, b) == tuple(sorted((j, m))):
-                contribs.append(_x(i + 1))
-            if (a, b) == tuple(sorted((m, i))):
-                contribs.append(_x(j + 1))
-            if not contribs:
-                continue
-            total = Poly.zero()
-            base = Poly.term(mono, 1)
-            for v in contribs:
-                total = total + base.diff(v)
-            for mm, q in total.terms.items():
-                acc.setdefault(mm, {})[col[((a, b), mono)]] = \
-                    acc.get(mm, {}).get(col[((a, b), mono)], Fraction(0)) + q
-        for mm in sorted(acc, key=lambda m_: m_.sort_key()):
-            row = [Fraction(0)] * len(unknowns)
-            for c, q in acc[mm].items():
-                row[c] = q
-            rows.append(row)
+    def residuals(k: TensorField) -> List[Poly]:
+        # K_(ij,m) is symmetric, so i <= j <= m are its independent rows
+        r = killing_residual(k)
+        return [r[idx] for idx in itertools.combinations_with_replacement(range(n), 3)]
 
-    basis_vectors = linalg.nullspace(rows, ncols=len(unknowns))
-    echelon, _ = linalg.rref(basis_vectors)
-    echelon = [v for v in echelon if any(v)]
-
-    elements = []
-    for vec in echelon:
-        comps = {}
-        for (pq, m), c in col.items():
-            if vec[c]:
-                comps.setdefault(pq, Poly.zero())
-                comps[pq] = comps[pq] + Poly.term(m, vec[c])
-        mat = [[comps.get(tuple(sorted((i, j))), Poly.zero()) for j in range(n)]
-               for i in range(n)]
-        elements.append(TensorField.from_matrix(mat))
-    return KillingBasis(dimension=n, elements=tuple(elements))
-
-
-# ---- vectorization helpers --------------------------------------------
-
-
-def _family_keys(tensors: Sequence[TensorField]):
-    n = tensors[0].n
-    keys = set()
-    for t in tensors:
-        for i in range(n):
-            for j in range(i, n):
-                keys.update(t[(i, j)].terms)
-    return sorted(keys, key=lambda m: m.sort_key())
-
-
-def tensors_to_rows(tensors: Sequence[TensorField]):
-    """Coefficient-vector rows for symmetric (0,2) tensors over a shared
-    (component, monomial) key set."""
-    n = tensors[0].n
-    keys = _family_keys(tensors)
-    keypos = {(i, j, m): c for c, (i, j, m) in enumerate(
-        ((i, j, m) for i in range(n) for j in range(i, n) for m in keys))}
-    rows = []
-    for t in tensors:
-        row = [Fraction(0)] * len(keypos)
-        for i in range(n):
-            for j in range(i, n):
-                for m, q in t[(i, j)].terms.items():
-                    row[keypos[(i, j, m)]] = q
-        rows.append(row)
-    return rows
-
-
-def span_equal(a: Sequence[TensorField], b: Sequence[TensorField]) -> bool:
-    """Whether two lists of symmetric (0,2) tensors span the same space."""
-    merged = list(a) + list(b)
-    keys = tensors_to_rows(merged)
-    return linalg.row_space_equal(keys[:len(a)], keys[len(a):])
+    return KillingBasis(dimension=n, elements=tuple(_solve(n, candidates, residuals)))
 
 
 # ---- compatible families ----------------------------------------------
@@ -233,34 +213,19 @@ def compatible_family(basis: KillingBasis, pot: PotentialSpec) -> KillingFamily:
     if pot.dimension != basis.dimension:
         raise KillingError("potential and basis dimensions differ")
     n = basis.dimension
-    m = len(basis.elements)
 
-    rows: List[List[Fraction]] = []
-    for u in pot.generators:
-        residuals = [conservation_check(as_operator(k), u).residual
-                     for k in basis.elements]
-        for j in range(n):
-            for k in range(j + 1, n):
-                acc: Dict[Monomial, List[Fraction]] = {}
-                for r, res in enumerate(residuals):
-                    for mono, q in res[(j, k)].terms.items():
-                        acc.setdefault(mono, [Fraction(0)] * m)[r] = q
-                for mono in sorted(acc, key=lambda mm: mm.sort_key()):
-                    rows.append(acc[mono])
+    def residuals(k: TensorField) -> List[Poly]:
+        # d(K* du) is antisymmetric, so j < k are its independent rows
+        op = as_operator(k)
+        out = []
+        for u in pot.generators:
+            r = conservation_check(op, u).residual
+            out += [r[jk] for jk in itertools.combinations(range(n), 2)]
+        return out
 
-    vectors = linalg.nullspace(rows, ncols=m)
-    if not vectors:
+    elements = _solve(n, basis.elements, residuals)
+    if not elements:
         raise EmptyFamily(f"no nonzero Killing tensor is compatible with {pot.name}")
-    echelon, _ = linalg.rref(vectors)
-    echelon = [v for v in echelon if any(v)]
-
-    elements = []
-    for vec in echelon:
-        t = TensorField.zero(n, (0, 2))
-        for r, q in enumerate(vec):
-            if q:
-                t = t + basis.elements[r].scale(q)
-        elements.append(t)
 
     for fam in _catalog_families(n):
         if len(fam.params) == len(elements) and span_equal(fam.basis(), elements):
@@ -281,70 +246,47 @@ def family_operator(family: KillingFamily, b: Mapping[VarId, object] = None) -> 
 
 # ---- potential catalog ------------------------------------------------
 
-
-def _mat(rows: Sequence[Sequence[str]]) -> TensorField:
-    return TensorField.from_matrix([[parse_poly(e) for e in row] for row in rows])
-
-
-def _b(*indices: int) -> Tuple[VarId, ...]:
-    return tuple(VarId("b", i) for i in indices)
-
-
-def _build_catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
-    g = {
-        "sw1": ["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"],
-        "oscillator": ["x1^2 + x2^2 + x3^2", "x1", "x2", "x3"],
-        "oo": ["4*x1^2 + 4*x2^2 + x3^2", "x1", "x2", "x3^-2"],
-        "iv": ["4*x1^2 + x2^2 + x3^2", "x1", "x2^-2", "x3^-2"],
-        "nonmaximal-3d": ["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"],
-    }
-    fams = {
-        "sw1": (_b(1, 2, 3, 4, 5, 6), _mat([
-            ["b4*x2^2 + b5*x3^2 + b1", "-b4*x1*x2", "-b5*x1*x3"],
-            ["-b4*x1*x2", "b4*x1^2 + b6*x3^2 + b2", "-b6*x2*x3"],
-            ["-b5*x1*x3", "-b6*x2*x3", "b5*x1^2 + b6*x2^2 + b3"],
-        ])),
-        "oscillator": (_b(1, 2, 3, 4, 5, 6), _mat([
-            ["b1", "b4", "b5"],
-            ["b4", "b2", "b6"],
-            ["b5", "b6", "b3"],
-        ])),
-        "oo": (_b(1, 2, 3, 4, 5, 6), _mat([
-            ["b1", "b5", "-b4*x3"],
-            ["b5", "b2", "-b6*x3"],
-            ["-b4*x3", "-b6*x3", "2*b4*x1 + 2*b6*x2 + b3"],
-        ])),
-        "iv": (_b(1, 2, 3, 4, 5, 6), _mat([
-            ["b1", "-b6*x2", "-b4*x3"],
-            ["-b6*x2", "b5*x3^2 + 2*b6*x1 + b2", "-b5*x2*x3"],
-            ["-b4*x3", "-b5*x2*x3", "b5*x2^2 + 2*b4*x1 + b3"],
-        ])),
-        "nonmaximal-3d": (_b(1, 2, 3, 5), _mat([
-            ["b5*x3^2 + b1", "0", "-b5*x1*x3"],
-            ["0", "b2", "0"],
-            ["-b5*x1*x3", "0", "b5*x1^2 + b3"],
-        ])),
-    }
-    out = {}
-    for name, gens in g.items():
-        pot = PotentialSpec(name=name, dimension=3,
-                            generators=[parse_poly(s) for s in gens])
-        params, mat = fams[name]
-        out[name] = (pot, KillingFamily(dimension=3, params=params, tensor=mat))
-    return out
+# name -> (potential generator texts, parameter indices, family matrix)
+_CATALOG_TABLE = {
+    "sw1": (["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"], (1, 2, 3, 4, 5, 6), [
+        ["b4*x2^2 + b5*x3^2 + b1", "-b4*x1*x2", "-b5*x1*x3"],
+        ["-b4*x1*x2", "b4*x1^2 + b6*x3^2 + b2", "-b6*x2*x3"],
+        ["-b5*x1*x3", "-b6*x2*x3", "b5*x1^2 + b6*x2^2 + b3"],
+    ]),
+    "oscillator": (["x1^2 + x2^2 + x3^2", "x1", "x2", "x3"], (1, 2, 3, 4, 5, 6), [
+        ["b1", "b4", "b5"],
+        ["b4", "b2", "b6"],
+        ["b5", "b6", "b3"],
+    ]),
+    "oo": (["4*x1^2 + 4*x2^2 + x3^2", "x1", "x2", "x3^-2"], (1, 2, 3, 4, 5, 6), [
+        ["b1", "b5", "-b4*x3"],
+        ["b5", "b2", "-b6*x3"],
+        ["-b4*x3", "-b6*x3", "2*b4*x1 + 2*b6*x2 + b3"],
+    ]),
+    "iv": (["4*x1^2 + x2^2 + x3^2", "x1", "x2^-2", "x3^-2"], (1, 2, 3, 4, 5, 6), [
+        ["b1", "-b6*x2", "-b4*x3"],
+        ["-b6*x2", "b5*x3^2 + 2*b6*x1 + b2", "-b5*x2*x3"],
+        ["-b4*x3", "-b5*x2*x3", "b5*x2^2 + 2*b4*x1 + b3"],
+    ]),
+    "nonmaximal-3d": (["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"], (1, 2, 3, 5), [
+        ["b5*x3^2 + b1", "0", "-b5*x1*x3"],
+        ["0", "b2", "0"],
+        ["-b5*x1*x3", "0", "b5*x1^2 + b3"],
+    ]),
+}
 
 
-_CATALOG = None
-
-
+@functools.cache
 def catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
     """Potential catalog: name -> (potential, conventional family)."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return _CATALOG
+    return {
+        name: (PotentialSpec(name=name, dimension=3,
+                             generators=[parse_poly(g) for g in gens]),
+               KillingFamily(dimension=3, params=tuple(VarId("b", i) for i in params),
+                             tensor=TensorField.from_matrix(
+                                 [[parse_poly(e) for e in row] for row in rows])))
+        for name, (gens, params, rows) in _CATALOG_TABLE.items()}
 
 
 def _catalog_families(n: int) -> List[KillingFamily]:
     return [fam for _, fam in catalog().values() if fam.dimension == n]
-

@@ -295,14 +295,17 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = Poly.const(1)
+        # square only while higher bits remain, and start from the
+        # first factor rather than from the constant 1
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return Poly.const(1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,5 +1,7 @@
 """Killing-tensor spaces, compatible families and the system catalog."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,18 +47,17 @@ def flat_killing_one_forms(n):
 
 
 class TestKillingSpace:
-    def test_dimension_three(self):
-        assert len(killing_space(3)) == 20
-
-    def test_dimension_two(self):
-        assert len(killing_space(2)) == 6
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dimension_formula(self, n):
+        # n(n+1)^2(n+2)/12 valence-2 Killing tensors on flat R^n: 6, 20, 50
+        assert len(killing_space(n)) == n * (n + 1) ** 2 * (n + 2) // 12
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
             killing_space(5)
 
     def test_all_elements_satisfy_killing_equation(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             for k in killing_space(n).elements:
                 assert killing_residual(k).is_zero()
 
@@ -78,10 +79,11 @@ class TestOneForms:
                 assert killing_residual(symmetric_product(v, w)).is_zero()
 
     def test_products_span_whole_space(self):
-        forms = flat_killing_one_forms(3)
-        products = [symmetric_product(v, w)
-                    for i, v in enumerate(forms) for w in forms[i:]]
-        assert span_equal(products, killing_space(3).elements)
+        for n in (3, 4):
+            forms = flat_killing_one_forms(n)
+            products = [symmetric_product(v, w)
+                        for i, v in enumerate(forms) for w in forms[i:]]
+            assert span_equal(products, killing_space(n).elements)
 
 
 class TestCompatibleFamilies:
@@ -125,6 +127,63 @@ class TestCompatibleFamilies:
                             generators=[parse_poly("x1^3*x2")])
         with pytest.raises(EmptyFamily):
             compatible_family(restricted, pot)
+
+
+def seeded_potential(seed):
+    """A potential off the catalog: a random diagonal quadratic form and
+    two random coordinate powers."""
+    rng = random.Random(seed)
+    gens = [" + ".join(f"{rng.randint(1, 4)}*x{i}^2" for i in (1, 2, 3))]
+    gens += [f"x{rng.randint(1, 3)}^{rng.choice([-2, 1])}" for _ in range(2)]
+    return PotentialSpec(name=f"seeded-{seed}", dimension=3,
+                         generators=[parse_poly(g) for g in gens])
+
+
+class TestSympyOracle:
+    """compatible_family against sympy's nullspace of the conservation
+    conditions d(K dU) = 0 on a generic combination of killing_space(3)."""
+
+    @pytest.mark.parametrize("pot", [pot for pot, _ in catalog().values()]
+                             + [seeded_potential(seed) for seed in range(3)],
+                             ids=lambda pot: pot.name)
+    def test_nullspace_matches_family(self, pot):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:4")
+        basis = killing_space(3).elements
+        cs = sympy.symbols(f"c0:{len(basis)}")
+
+        def to_matrix(t):
+            return sympy.Matrix(3, 3, lambda i, j: sympy.sympify(
+                str(t[(i, j)]).replace("^", "**")))
+
+        generic = sum((c * to_matrix(t) for c, t in zip(cs, basis)),
+                      sympy.zeros(3, 3))
+        conditions = []
+        for g in pot.generators:
+            u = sympy.sympify(str(g).replace("^", "**"))
+            omega = [sum(generic[a, k] * sympy.diff(u, xs[a]) for a in range(3))
+                     for k in range(3)]
+            for j, k in itertools.combinations(range(3), 2):
+                residual = sympy.diff(omega[k], xs[j]) - sympy.diff(omega[j], xs[k])
+                numerator = sympy.numer(sympy.together(sympy.expand(residual)))
+                if numerator != 0:
+                    conditions += sympy.Poly(numerator, *xs).coeffs()
+        matrix, _ = sympy.linear_eq_to_matrix(conditions, cs)
+        null = matrix.nullspace()
+        fam = compatible_family(killing_space(3), pot)
+        assert len(null) == len(fam.params)
+
+        # compare spans on the tensors' coefficient vectors in x
+        oracle = [sum((v[u] * to_matrix(t) for u, t in enumerate(basis)),
+                      sympy.zeros(3, 3)) for v in null]
+        family = [to_matrix(t) for t in fam.basis()]
+        coeffs = [{(i, j, m): q for i in range(3) for j in range(3)
+                   for m, q in sympy.Poly(t[i, j], *xs).as_dict().items()}
+                  for t in oracle + family]
+        keys = sorted(set().union(*coeffs))
+        rows = sympy.Matrix([[c.get(key, 0) for key in keys] for c in coeffs])
+        rank = len(null)
+        assert rows[:rank, :].rank() == rows[rank:, :].rank() == rows.rank() == rank
 
 
 class TestFamilyOperations:

@@ -85,10 +85,28 @@ class TestRingAxioms:
                 assert (f - f).is_zero()
                 assert (f + (-f)).terms == {} and (f * 0).terms == {}
 
-    def test_power(self):
-        f = parse_poly("x1 + 1")
-        assert f ** 3 == f * f * f
-        assert f ** 0 == Poly.const(1)
+    def test_power(self, monkeypatch):
+        f = parse_poly("x1 + 2*b1 - x2^-1")
+        product = Poly.const(1)
+        powers = []
+        for _ in range(6):
+            powers.append(product)
+            product = product * f
+        calls = []
+        mul = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        counts = []
+        for e, want in enumerate(powers):
+            calls.clear()
+            assert f ** e == want
+            counts.append(len(calls))
+        # binary powering: no squaring past the last bit, no product with 1
+        assert counts == [0, 0, 1, 2, 2, 3]
 
 
 class TestParsing:
