@@ -8,18 +8,16 @@ __version__ = "0.1.0"
 from .symalg import (Monomial, Poly, VarId, parse_poly, var,
                      LogarithmicTerm, NonInvertibleSubstitution, ParseError)
 from .tensor import TensorField, hessian_operator, partial_derivative
-from .haantjes import (ConservationResidual, OperatorField, as_operator,
-                       conservation_check, haantjes, is_haantjes_zero,
-                       nijenhuis)
-from .killing import (EmptyFamily, KillingBasis, KillingFamily, PotentialSpec,
-                      UnsupportedDimension, catalog, compatible_family,
-                      killing_residual, killing_space)
+from .haantjes import (OperatorField, as_operator, conservation_check,
+                       haantjes, is_haantjes_zero, nijenhuis)
+from .killing import (KillingFamily, PotentialSpec, UnsupportedDimension,
+                      catalog, compatible_family, killing_residual,
+                      killing_space)
 from .ideals import (Ideal, MonomialOrder, UnitIdeal, ZeroIdeal, buchberger,
                      default_order, haantjes_zero_ideal, hilbert_dimension,
                      ideal_equal, linear_factor, member, normal_form,
                      radical_member)
-from .mechanics import (Condition6bResult, DegenerateK, Inconsistent,
-                        NonUniqueSolution, NotCompatible, PhaseFunction,
-                        StructuralTensor, abundant_haantjes, build_integral,
-                        condition_6b, functional_independence, hamiltonian,
-                        poisson, structural_tensor_at)
+from .mechanics import (DegenerateK, NonUniqueSolution, NotCompatible,
+                        PhaseFunction, StructuralTensor, abundant_haantjes,
+                        build_integral, condition_6b, functional_independence,
+                        hamiltonian, poisson, structural_tensor_at)

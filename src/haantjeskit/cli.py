@@ -8,7 +8,10 @@ computations (the README lists the catalog systems and their actions):
   haantjeskit reproduce --seed 7 --json
 
 The environment variable HAANTJES_TRIALS overrides the number of
-random sample points drawn by seeded checks.  Exit status is 0 exactly
+random cases of the `mechanics` action's functional rank (at least 10
+in nonmaximal-radial-mechanics), torsion-property-suite and
+poisson-jacobi-identity; the other seeded checks draw a fixed number.
+Exit status is 0 exactly
 when no check in the report fails ("evidence-only" verdicts do not
 fail the run), 1 when one fails, and 2 for a malformed command line,
 reported as one "error:" line on standard error.

@@ -7,7 +7,6 @@ covariant derivative is the component-wise partial derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .symalg import Poly, VarId
@@ -38,21 +37,6 @@ def as_operator(k: TensorField) -> OperatorField:
     if k.valence != (0, 2):
         raise TensorError(f"expected a (0,2) tensor, got valence {k.valence}")
     return OperatorField(TensorField(k.n, (1, 1), list(k.components)))
-
-
-@dataclass
-class ConservationResidual:
-    """Outcome of the conservation-law check for a generating function.
-
-    `residual` is the antisymmetric (0,2)-tensor d(A* du); the function
-    generates a conservation law exactly when it vanishes.
-    """
-
-    generator: Poly
-    residual: TensorField
-
-    def is_conserved(self) -> bool:
-        return self.residual.is_zero()
 
 
 def nijenhuis(a: OperatorField) -> TensorField:
@@ -114,8 +98,9 @@ def pullback_differential(a: OperatorField, u: Poly) -> TensorField:
     return TensorField.from_function(n, (0, 1), comp)
 
 
-def conservation_check(a: OperatorField, u: Poly) -> ConservationResidual:
-    """Residual d(A* du); zero exactly when u generates a conservation law."""
+def conservation_check(a: OperatorField, u: Poly) -> TensorField:
+    """Residual d(A* du), an antisymmetric (0,2) tensor; zero exactly
+    when u generates a conservation law."""
     omega = pullback_differential(a, u)
     n = a.n
 
@@ -123,8 +108,7 @@ def conservation_check(a: OperatorField, u: Poly) -> ConservationResidual:
         j, k = idx
         return omega[(k,)].diff(VarId("x", j + 1)) - omega[(j,)].diff(VarId("x", k + 1))
 
-    return ConservationResidual(generator=u,
-                                residual=TensorField.from_function(n, (0, 2), comp))
+    return TensorField.from_function(n, (0, 2), comp)
 
 
 def is_haantjes_zero(a: OperatorField) -> Tuple[bool, Optional[Tuple[int, int, int, Poly]]]:

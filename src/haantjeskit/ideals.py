@@ -23,8 +23,8 @@ from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .symalg import Monomial, Poly, VarId
-from .haantjes import haantjes
-from .killing import KillingFamily, family_operator
+from .haantjes import as_operator, haantjes
+from .killing import KillingFamily
 
 
 class IdealsError(Exception):
@@ -259,9 +259,6 @@ class Ideal:
             self._basis = buchberger(self.generators, self.order)
         return self._basis
 
-    def is_zero(self) -> bool:
-        return not self.groebner()
-
     def contains_one(self) -> bool:
         g = self.groebner()
         return len(g) == 1 and g[0].is_constant()
@@ -307,13 +304,12 @@ def hilbert_dimension(ideal: Ideal) -> int:
         raise UnitIdeal("unit ideal: the quotient ring is trivial")
     supports = [frozenset(leading_term(g, ideal.order)[0].variables()) for g in basis]
     variables = ideal.order.variables
-    best = 0
+    # the empty subset always qualifies: no leading monomial is constant
     for size in range(len(variables), -1, -1):
         for subset in itertools.combinations(variables, size):
             s = frozenset(subset)
             if not any(sup <= s for sup in supports):
                 return size
-    return best
 
 
 # ---- linear factors ----------------------------------------------------
@@ -432,7 +428,7 @@ def linear_factor(f: Poly) -> List[Poly]:
 def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
     """Ideal of parameter conditions under which the family's Haantjes
     torsion vanishes identically in x."""
-    h = haantjes(family_operator(family))
+    h = haantjes(as_operator(family.tensor))
     order = default_order(sorted(family.params))
     gens: List[Poly] = []
     seen = set()

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 from . import linalg
 from .symalg import Monomial, Poly, VarId, parse_poly
 from .tensor import TensorField, TensorError
-from .haantjes import OperatorField, as_operator, conservation_check
+from .haantjes import as_operator, conservation_check
 
 
 class KillingError(Exception):
@@ -29,21 +29,6 @@ class KillingError(Exception):
 
 class UnsupportedDimension(KillingError):
     pass
-
-
-class EmptyFamily(KillingError):
-    """Only the zero tensor is compatible with the potential."""
-
-
-@dataclass(frozen=True)
-class KillingBasis:
-    """Basis of the space of valence-2 Killing tensors on flat R^n."""
-
-    dimension: int
-    elements: Tuple[TensorField, ...]
-
-    def __len__(self):
-        return len(self.elements)
 
 
 @dataclass
@@ -168,16 +153,15 @@ def killing_residual(k: TensorField) -> TensorField:
 
 
 @functools.cache
-def killing_space(n: int) -> KillingBasis:
+def killing_space(n: int) -> Tuple[TensorField, ...]:
     """Exact basis of all valence-2 Killing tensors on flat R^n.
 
     Solves the Killing equation on the degree-<=2 component ansatz; the
     basis is returned in reduced echelon form over the documented
     unknown ordering (component pairs (i<=j) lexicographic, monomials
     by graded order), so the output is deterministic.  It is computed
-    once per n and process and shared: the basis is frozen and its
-    elements are a tuple, but the tensors themselves are not, so do not
-    modify them.
+    once per n and process and shared: the basis is a tuple, but the
+    tensors in it are not frozen, so do not modify them.
     """
     if n not in (2, 3, 4):
         raise UnsupportedDimension(f"killing_space supports n in 2..4, got {n}")
@@ -196,39 +180,37 @@ def killing_space(n: int) -> KillingBasis:
         r = killing_residual(k)
         return [r[idx] for idx in itertools.combinations_with_replacement(range(n), 3)]
 
-    return KillingBasis(dimension=n, elements=tuple(_solve(n, candidates, residuals)))
+    return tuple(_solve(n, candidates, residuals))
 
 
 # ---- compatible families ----------------------------------------------
 
 
-def compatible_family(basis: KillingBasis, pot: PotentialSpec) -> KillingFamily:
-    """Maximal subfamily of `basis` compatible with every generator of
-    the potential (all conservation residuals vanish identically).
+def compatible_family(pot: PotentialSpec) -> KillingFamily:
+    """Maximal family of Killing tensors on R^n, n the potential's
+    dimension, compatible with every generator of the potential (all
+    conservation residuals vanish identically).  It always contains the
+    metric, so it is never empty.
 
     When the resulting span coincides with the parametrized family of a
     catalog system, that parametrization (the conventional b-labels) is
     returned instead of the raw echelon basis.
     """
-    if pot.dimension != basis.dimension:
-        raise KillingError("potential and basis dimensions differ")
-    n = basis.dimension
+    n = pot.dimension
 
     def residuals(k: TensorField) -> List[Poly]:
         # d(K* du) is antisymmetric, so j < k are its independent rows
         op = as_operator(k)
         out = []
         for u in pot.generators:
-            r = conservation_check(op, u).residual
+            r = conservation_check(op, u)
             out += [r[jk] for jk in itertools.combinations(range(n), 2)]
         return out
 
-    elements = _solve(n, basis.elements, residuals)
-    if not elements:
-        raise EmptyFamily(f"no nonzero Killing tensor is compatible with {pot.name}")
-
-    for fam in _catalog_families(n):
-        if len(fam.params) == len(elements) and span_equal(fam.basis(), elements):
+    elements = _solve(n, killing_space(n), residuals)
+    for _, fam in catalog().values():
+        if (fam.dimension == n and len(fam.params) == len(elements)
+                and span_equal(fam.basis(), elements)):
             return fam
 
     params = tuple(VarId("b", i + 1) for i in range(len(elements)))
@@ -236,12 +218,6 @@ def compatible_family(basis: KillingBasis, pot: PotentialSpec) -> KillingFamily:
     for p, t in zip(params, elements):
         total = total + t.map(lambda c, p=p: c * Poly.variable(p))
     return KillingFamily(dimension=n, params=params, tensor=total)
-
-
-def family_operator(family: KillingFamily, b: Mapping[VarId, object] = None) -> OperatorField:
-    """Operator field of a family member (Euclidean index raising)."""
-    t = family.tensor if b is None else family.specialize(b)
-    return as_operator(t)
 
 
 # ---- potential catalog ------------------------------------------------
@@ -286,7 +262,3 @@ def catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
                              tensor=TensorField.from_matrix(
                                  [[parse_poly(e) for e in row] for row in rows])))
         for name, (gens, params, rows) in _CATALOG_TABLE.items()}
-
-
-def _catalog_families(n: int) -> List[KillingFamily]:
-    return [fam for _, fam in catalog().values() if fam.dimension == n]

@@ -16,13 +16,12 @@ Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
 
-def _clone(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
-    """Reduced row-echelon form; returns (matrix, pivot column list)."""
-    m = _clone(rows)
+    """Reduced row-echelon form; returns (matrix, pivot column list).
+
+    Entries may be int or Fraction; every row a pivot touches becomes
+    Fraction, so the result is exact either way."""
+    m = [list(row) for row in rows]
     if not m:
         return m, []
     nrows, ncols = len(m), len(m[0])
@@ -33,7 +32,7 @@ def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        inv = 1 / Fraction(m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:

@@ -33,10 +33,6 @@ class NonUniqueSolution(MechanicsError):
     """Structural-tensor system singular at the chosen point."""
 
 
-class Inconsistent(MechanicsError):
-    """No structural tensor reproduces the family's derivatives here."""
-
-
 class DegenerateK(MechanicsError):
     """det(K) vanishes identically."""
 
@@ -62,21 +58,8 @@ class PhaseFunction:
                 if v.ns == "p" and e < 0:
                     raise MechanicsError("negative momentum exponents are not allowed")
 
-    def __add__(self, other):
-        return PhaseFunction(self.dimension, self.poly + _poly_of(other))
-
-    def __sub__(self, other):
-        return PhaseFunction(self.dimension, self.poly - _poly_of(other))
-
-    def __eq__(self, other):
-        return self.poly == _poly_of(other)
-
     def __str__(self):
         return str(self.poly)
-
-
-def _poly_of(f) -> Poly:
-    return f.poly if isinstance(f, PhaseFunction) else Poly._coerce(f)
 
 
 def poisson(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
@@ -122,8 +105,7 @@ def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, obje
     a = as_operator(k)
     n = k.n
     v = potential_from_coefficients(pot, coeffs)
-    res = conservation_check(a, v)
-    if not res.is_conserved():
+    if not conservation_check(a, v).is_zero():
         raise NotCompatible("d(K*dV) != 0: the tensor is not compatible with this potential")
     grads = [v.diff(_x(i + 1)) for i in range(n)]
     omega = [sum((k[(s, i)] * grads[s] for s in range(n)), Poly.zero()) for i in range(n)]
@@ -186,7 +168,6 @@ class StructuralTensor:
     and in (i,j)."""
 
     dimension: int
-    point: Tuple[Fraction, ...]
     values: Dict[Tuple[int, int, int, int, int], Fraction]
 
     def __call__(self, a: int, b: int, i: int, j: int, k: int) -> Fraction:
@@ -238,20 +219,17 @@ def structural_tensor_at(family: KillingFamily, x0: Sequence[Fraction]) -> Struc
     if linalg.rank(m) < len(pairs):
         raise NonUniqueSolution("basis evaluation matrix singular at this point")
 
+    # m is square and invertible, so every solve below has one solution
     grads = [partial_derivative(elem) for elem in basis]
     values: Dict[Tuple[int, int, int, int, int], Fraction] = {}
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
                 rhs = [g[(i, j, k)].evaluate(binding) for g in grads]
-                sol = linalg.solve(m, rhs)
-                if sol is None:
-                    raise Inconsistent("no structural tensor at this point")
-                for (a, b), q in zip(pairs, sol):
+                for (a, b), q in zip(pairs, linalg.solve(m, rhs)):
                     if q:
                         values[(a, b, i, j, k)] = q
-    return StructuralTensor(dimension=n, point=tuple(Fraction(q) for q in x0),
-                            values=values)
+    return StructuralTensor(dimension=n, values=values)
 
 
 # ---- abundant-system Haantjes formula ---------------------------------
@@ -342,16 +320,10 @@ def haantjes_at(k: TensorField, x0: Sequence[Fraction]):
 # ---- third-order-structure compatibility condition --------------------
 
 
-@dataclass
-class Condition6bResult:
-    holds: bool
-    residual: TensorField
-    normalization: str
-
-
-def condition_6b(k: TensorField, normalization: str = "half") -> Condition6bResult:
-    """Denominator-cleared check of the quadratic derivative identity
-    det(K) K_{m[k,n]l} + (1/3) Adj^{pq} K_{p[l,m]} K_{q[k,n]} = 0.
+def condition_6b(k: TensorField, normalization: str = "half") -> TensorField:
+    """Denominator-cleared residual of the quadratic derivative identity
+    det(K) K_{m[k,n]l} + (1/3) Adj^{pq} K_{p[l,m]} K_{q[k,n]} = 0; the
+    identity holds exactly when the returned (0,4) tensor is zero.
 
     Square brackets antisymmetrize the enclosed index pair (weight 1/2
     for "half", 1 for "raw"); K^{pq} is the inverse of K, cleared to
@@ -383,6 +355,4 @@ def condition_6b(k: TensorField, normalization: str = "half") -> Condition6bResu
                     * Fraction(1, 3)
         return total
 
-    residual = TensorField.from_function(n, (0, 4), comp)
-    return Condition6bResult(holds=residual.is_zero(), residual=residual,
-                             normalization=normalization)
+    return TensorField.from_function(n, (0, 4), comp)

@@ -109,12 +109,12 @@ class TestConservation:
         f = parse_poly("x1^3 + x1*x2*x3")
         op = OperatorField(hessian_operator(f, 3))
         for u in [parse_poly("x1"), parse_poly("x2"), parse_poly("x3"), f]:
-            assert conservation_check(op, u).is_conserved()
+            assert conservation_check(op, u).is_zero()
 
     def test_residual_antisymmetric(self):
         rng = random.Random(3)
         a = random_operator(rng, 3)
-        res = conservation_check(a, random_poly(rng, XS)).residual
+        res = conservation_check(a, random_poly(rng, XS))
         for i in range(3):
             for j in range(3):
                 assert res[(i, j)] == -res[(j, i)]
@@ -123,4 +123,4 @@ class TestConservation:
         a = OperatorField(TensorField.from_matrix(
             [[parse_poly("x2"), parse_poly("0")],
              [parse_poly("0"), parse_poly("0")]], valence=(1, 1)))
-        assert not conservation_check(a, parse_poly("x1")).is_conserved()
+        assert not conservation_check(a, parse_poly("x1")).is_zero()

@@ -1,0 +1,140 @@
+"""Exact linear algebra against sympy on seeded rational matrices."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from haantjeskit.linalg import (nullspace, rank, ring_adjugate, ring_det, rref,
+                                row_space_equal, solve)
+from haantjeskit.symalg import Poly, parse_poly
+
+sympy = pytest.importorskip("sympy")
+
+SEEDS = range(12)
+
+
+def random_matrix(rng, nrows, ncols):
+    """Rational matrix whose last rows are often combinations of the
+    first, so that rank deficiency is common."""
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in range(1, nrows):
+        if rng.random() < 0.4:
+            a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(1, 3), 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+    return rows
+
+
+def seeded_matrix(seed):
+    rng = random.Random(seed)
+    return rng, random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in row]
+                         for row in rows])
+
+
+def from_sympy(m):
+    return [[Fraction(int(q.p), int(q.q)) for q in m.row(i)] for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_and_rank(seed):
+    _, rows = seeded_matrix(seed)
+    red, pivots = rref(rows)
+    oracle, oracle_pivots = to_sympy(rows).rref()
+    assert red == from_sympy(oracle)
+    assert pivots == list(oracle_pivots)
+    assert rank(rows) == to_sympy(rows).rank()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_span_and_dimension(seed):
+    _, rows = seeded_matrix(seed)
+    basis = nullspace(rows)
+    oracle = to_sympy(rows).nullspace()
+    assert len(basis) == len(oracle) == len(rows[0]) - to_sympy(rows).rank()
+    for v in basis:
+        assert all(q == 0 for q in to_sympy(rows) * to_sympy([v]).T)
+    if basis:
+        stacked = to_sympy(basis).col_join(sympy.Matrix.hstack(*oracle).T)
+        assert stacked.rank() == len(basis)
+
+
+def test_nullspace_of_empty_matrix_is_the_standard_basis():
+    assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_consistent_and_inconsistent(seed):
+    rng, rows = seeded_matrix(seed)
+    ncols = len(rows[0])
+    x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)]
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    x = solve(rows, rhs)
+    assert x is not None
+    assert [sum(a * q for a, q in zip(row, x)) for row in rows] == rhs
+
+    bad = [r + Fraction(rng.randint(1, 5)) for r in rhs]
+    augmented = to_sympy([row + [b] for row, b in zip(rows, bad)])
+    consistent = augmented.rank() == to_sympy(rows).rank()
+    assert (solve(rows, bad) is not None) == consistent
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_space_equal(seed):
+    rng, rows = seeded_matrix(seed)
+    combos = []
+    for _ in rows:
+        cs = [rng.randint(-3, 3) for _ in rows]
+        combos.append([sum(c * x for c, x in zip(cs, col)) for col in zip(*rows)])
+    assert row_space_equal(rows, rows + combos)
+    # the combinations lie in the row space, so they span it iff ranks agree
+    assert row_space_equal(rows, combos) == (to_sympy(combos).rank() == to_sympy(rows).rank())
+    extra = random_matrix(rng, 1, len(rows[0]))
+    grows = to_sympy(rows + extra).rank() > to_sympy(rows).rank()
+    assert row_space_equal(rows, rows + extra) == (not grows)
+
+
+def test_int_input_yields_exact_results():
+    rows = [[2, 4, 1], [1, 3, 0], [3, 7, 1]]
+    red, pivots = rref(rows)
+    assert pivots == [0, 1]
+    assert all(isinstance(q, (int, Fraction)) for row in red for q in row)
+    assert red == from_sympy(sympy.Matrix(rows).rref()[0])
+    x = solve([[2, 1], [1, 3]], [1, 2])
+    assert x == [Fraction(1, 5), Fraction(3, 5)]
+    assert all(isinstance(q, Fraction) for q in x)
+    assert rank([[3, 6], [1, 2]]) == 1
+
+
+def random_poly_matrix(seed):
+    rng = random.Random(seed)
+    xs = ["x1", "x2", "x3"]
+
+    def entry():
+        terms = [f"{rng.randint(-3, 3)}" + "".join(f"*{rng.choice(xs)}"
+                                                    for _ in range(rng.randint(0, 2)))
+                 for _ in range(rng.randint(1, 3))]
+        return parse_poly(" + ".join(terms))
+
+    return [[entry() for _ in range(3)] for _ in range(3)]
+
+
+def poly_to_sympy(p):
+    return sympy.sympify(str(p).replace("^", "**"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ring_det_and_adjugate(seed):
+    m = random_poly_matrix(seed)
+    oracle = sympy.Matrix([[poly_to_sympy(p) for p in row] for row in m])
+    det = ring_det(m, Poly.zero(), Poly.const(1))
+    assert sympy.expand(poly_to_sympy(det) - oracle.det()) == 0
+    adj = ring_adjugate(m, Poly.zero(), Poly.const(1))
+    expected = oracle.adjugate()
+    for i in range(3):
+        for j in range(3):
+            assert sympy.expand(poly_to_sympy(adj[i][j]) - expected[i, j]) == 0
