@@ -4,11 +4,16 @@ first, then the extended ring with an auxiliary variable), Hilbert
 dimension from leading monomials, and linear factors from rational
 roots on lines.
 
-The engine is a plain Buchberger loop with the coprimality criterion
-and normal (smallest-lcm-first) pair selection, each pair keyed once
-when it is formed; the scale of every ideal in this package (degree
-<= 4 generators in at most 7 variables) keeps this comfortably fast
-with exact coefficients.
+Inside this module a monomial is its grevlex key over the order's
+variables, (total degree, -e_n, ..., -e_1), and a polynomial is a
+{key: Fraction} map; `Poly` is built only at the public boundary.
+Keys sort in the order itself, a product is componentwise addition,
+divisibility a componentwise comparison and an lcm a componentwise
+minimum of the negated exponents.  The engine is a plain Buchberger
+loop with the coprimality criterion and normal (smallest-lcm-first)
+pair selection; the scale of every ideal in this package (degree <= 4
+generators in at most 7 variables) keeps this comfortably fast with
+exact coefficients.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import add, ge, sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .symalg import Monomial, Poly, VarId
+from .symalg import Monomial, Poly, VarId, _var_key
 from .haantjes import as_operator, haantjes
 from .killing import KillingFamily
 
@@ -39,6 +45,10 @@ class UnitIdeal(IdealsError):
     """The ideal is the whole ring."""
 
 
+Key = Tuple[int, ...]
+Terms = Dict[Key, Fraction]
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Graded reverse lexicographic order on a fixed variable sequence:
@@ -47,9 +57,15 @@ class MonomialOrder:
 
     variables: Tuple[VarId, ...]
     _pos: Dict[VarId, int] = field(init=False, repr=False, compare=False)
+    # (key index, variable) in the canonical variable order of Monomial
+    _canon: Tuple[Tuple[int, VarId], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = len(self.variables)
         object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.variables)})
+        object.__setattr__(self, "_canon", tuple(sorted(
+            ((n - i, v) for i, v in enumerate(self.variables)),
+            key=lambda iv: _var_key(iv[1]))))
 
     def exp_vector(self, m: Monomial) -> Tuple[int, ...]:
         vec = [0] * len(self.variables)
@@ -62,9 +78,15 @@ class MonomialOrder:
             vec[i] = e
         return tuple(vec)
 
-    def key(self, m: Monomial):
+    def key(self, m: Monomial) -> Key:
+        """Grevlex key (total degree, -e_n, ..., -e_1); a larger key is
+        a larger monomial."""
         vec = self.exp_vector(m)
-        return (sum(vec), tuple(-e for e in reversed(vec)))
+        return (sum(vec), *(-e for e in reversed(vec)))
+
+    def monomial(self, k: Key) -> Monomial:
+        """The monomial with the given key."""
+        return Monomial._raw(tuple((v, -k[i]) for i, v in self._canon if k[i]))
 
     def extend(self, v: VarId) -> "MonomialOrder":
         return MonomialOrder(self.variables + (v,))
@@ -84,10 +106,6 @@ def leading_term(f: Poly, order: MonomialOrder) -> Tuple[Monomial, Fraction]:
     return m, f.terms[m]
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(b.exponent(v) >= e for v, e in a.exps)
-
-
 def _quotient(b: Monomial, a: Monomial) -> Monomial:
     acc = dict(b.exps)
     for v, e in a.exps:
@@ -102,56 +120,77 @@ def _lcm_mono(a: Monomial, b: Monomial) -> Monomial:
     return Monomial._merged(acc)
 
 
+# ---- keyed polynomials --------------------------------------------------
+
+
+def _keyed(f: Poly, order: MonomialOrder) -> Terms:
+    return {order.key(m): q for m, q in f.terms.items()}
+
+
+def _poly(terms: Terms, order: MonomialOrder) -> Poly:
+    """The Poly of a keyed polynomial whose coefficients are nonzero."""
+    return Poly._raw({order.monomial(k): q for k, q in terms.items()})
+
+
+def _divides(a: Key, b: Key) -> bool:
+    return all(map(ge, a[1:], b[1:]))
+
+
+def _lcm(a: Key, b: Key) -> Key:
+    neg = tuple(map(min, a[1:], b[1:]))
+    return (-sum(neg), *neg)
+
+
+def _monic(terms: Terms, lm: Key) -> Terms:
+    inv = 1 / terms[lm]
+    return {k: q * inv for k, q in terms.items()}
+
+
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     """Remainder of full multivariate division of f by the basis: each
     step divides the leading term of what is left by the first basis
     element, in list order, whose leading monomial divides it."""
-    return _remainder(f.terms, basis, [leading_term(g, order)[0] for g in basis],
-                      order)
+    keyed = [_keyed(g, order) for g in basis]
+    if not all(keyed):
+        raise IdealsError("zero polynomial has no leading term")
+    return _poly(_remainder(_keyed(f, order), keyed, [max(g) for g in keyed]), order)
 
 
-def _remainder(terms: Mapping[Monomial, Fraction], basis: Sequence[Poly],
-               lms: Sequence[Monomial], order: MonomialOrder) -> Poly:
-    """normal_form of the polynomial with the given terms (zero
-    coefficients allowed), given the leading monomial of each basis
-    element.
+def _remainder(terms: Terms, basis: Sequence[Terms], lms: Sequence[Key]) -> Terms:
+    """Keyed normal form of the polynomial with the given terms (zero
+    coefficients allowed), given the leading key of each basis element;
+    the result has no zero coefficient.
 
-    What is left is kept as coefficients by order key, with the pending
-    keys sorted; every term a division step brings in is smaller than
-    the term it removes, so each key is taken at most once."""
-    monos: Dict[tuple, Monomial] = {}
-    coeffs: Dict[tuple, Fraction] = {}
-    for m, q in terms.items():
-        k = order.key(m)
-        monos[k] = m
-        coeffs[k] = q
+    The pending keys stay sorted; every term a division step brings in
+    is smaller than the term it removes, so each key is taken at most
+    once."""
+    coeffs = dict(terms)
     pending = sorted(coeffs)
-    remainder: Dict[Monomial, Fraction] = {}
+    tails = [lm[1:] for lm in lms]
+    remainder: Terms = {}
     while pending:
         k = pending.pop()
         q = coeffs.pop(k)
         if not q:
             continue
-        lm = monos[k]
-        for g, glm in zip(basis, lms):
-            if _divides(glm, lm):
-                t = _quotient(lm, glm)
-                c = q / g.terms[glm]
-                for gm, gq in g.terms.items():
-                    if gm == glm:
+        kt = k[1:]
+        for g, glm, gt in zip(basis, lms, tails):
+            if all(map(ge, gt, kt)):  # glm divides k
+                t = tuple(map(sub, k, glm))
+                c = q / g[glm]
+                for gk, gq in g.items():
+                    if gk == glm:
                         continue  # cancels the leading term exactly
-                    m = gm * t
-                    mk = order.key(m)
+                    mk = tuple(map(add, gk, t))
                     if mk in coeffs:
                         coeffs[mk] -= c * gq
                     else:
-                        monos[mk] = m
                         coeffs[mk] = -c * gq
                         bisect.insort(pending, mk)
                 break
         else:
-            remainder[lm] = q
-    return Poly._raw(remainder)
+            remainder[k] = q
+    return remainder
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -164,19 +203,19 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
             - g * Poly.term(_quotient(l, gm), 1 / gc))
 
 
-def _s_terms(f: Poly, fm: Monomial, g: Poly, gm: Monomial) -> Dict[Monomial, Fraction]:
-    """Terms of the S-polynomial of f and g, given their leading
-    monomials, without the leading terms, which cancel exactly; other
+def _s_terms(f: Terms, fm: Key, g: Terms, gm: Key) -> Terms:
+    """Terms of the S-polynomial of the keyed f and g, given their
+    leading keys, without the leading terms, which cancel exactly; other
     coefficients may cancel to zero and are kept."""
-    l = _lcm_mono(fm, gm)
-    out: Dict[Monomial, Fraction] = {}
+    l = _lcm(fm, gm)
+    out: Terms = {}
     for h, hm, sign in ((f, fm, 1), (g, gm, -1)):
-        t = _quotient(l, hm)
-        c = sign / h.terms[hm]
-        for m, q in h.terms.items():
-            if m != hm:
-                m = m * t
-                out[m] = out.get(m, 0) + c * q
+        t = tuple(map(sub, l, hm))
+        c = sign / h[hm]
+        for k, q in h.items():
+            if k != hm:
+                k = tuple(map(add, k, t))
+                out[k] = out.get(k, 0) + c * q
     return out
 
 
@@ -197,51 +236,51 @@ def primitive_normalized(f: Poly, order: MonomialOrder) -> Poly:
 
 def buchberger(generators: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     """Unique reduced Groebner basis of the generators."""
-    basis = [g for g in generators if not g.is_zero()]
+    basis = [_keyed(g, order) for g in generators if not g.is_zero()]
+    return [_poly(g, order) for g in _groebner(basis)]
+
+
+def _groebner(basis: List[Terms]) -> List[Terms]:
+    """Reduced Groebner basis of nonzero keyed polynomials, monic and
+    sorted by leading key, largest first; extends `basis` in place."""
     if not basis:
         return []
-    lms = [leading_term(g, order)[0] for g in basis]
-    pairs: List[tuple] = []  # (order key of the lcm, i, j), sorted
+    lms = [max(g) for g in basis]
+    pairs: List[tuple] = []  # (lcm key, i, j), sorted
 
     def add_pairs(j):
         for i in range(j):
-            l = _lcm_mono(lms[i], lms[j])
-            if l != lms[i] * lms[j]:  # coprime leading monomials reduce to zero
-                bisect.insort(pairs, (order.key(l), i, j))
+            l = _lcm(lms[i], lms[j])
+            if l[0] != lms[i][0] + lms[j][0]:  # coprime leading monomials reduce to zero
+                bisect.insort(pairs, (l, i, j))
 
     for j in range(1, len(basis)):
         add_pairs(j)
     while pairs:
         _, i, j = pairs.pop(0)
-        rem = _remainder(_s_terms(basis[i], lms[i], basis[j], lms[j]),
-                         basis, lms, order)
-        if not rem.is_zero():
+        rem = _remainder(_s_terms(basis[i], lms[i], basis[j], lms[j]), basis, lms)
+        if rem:
             basis.append(rem)
-            lms.append(leading_term(rem, order)[0])
+            lms.append(max(rem))
             add_pairs(len(basis) - 1)
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, lms)
 
 
-def _reduce_basis(basis: List[Poly], order: MonomialOrder) -> List[Poly]:
+def _reduce_basis(basis: List[Terms], lms: List[Key]) -> List[Terms]:
     # minimal basis: drop elements whose leading monomial another divides
-    lms = [leading_term(g, order)[0] for g in basis]
-    keep: List[int] = []
-    for i, lm in enumerate(lms):
-        dominated = any(
-            j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
-            for j in range(len(basis)))
-        if not dominated:
-            keep.append(i)
-    minimal = [monic(basis[i], order) for i in keep]
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
+                       for j in range(len(basis)))]
+    minimal = [_monic(basis[i], lms[i]) for i in keep]
+    mlms = [lms[i] for i in keep]
     # tail-reduce each element modulo the others (leading monomials of a
     # minimal basis are stable under this, so one pass suffices)
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(monic(r, order))
-    reduced.sort(key=lambda p: order.key(leading_term(p, order)[0]), reverse=True)
+        r = _remainder(g, minimal[:i] + minimal[i + 1:], mlms[:i] + mlms[i + 1:])
+        if r:
+            reduced.append(_monic(r, max(r)))
+    reduced.sort(key=max, reverse=True)
     return reduced
 
 
@@ -252,12 +291,23 @@ class Ideal:
     generators: List[Poly]
     order: MonomialOrder
     _basis: Optional[List[Poly]] = field(default=None, repr=False, compare=False)
+    # the same basis keyed, with its leading keys
+    _keyed: Optional[Tuple[List[Terms], List[Key]]] = field(
+        default=None, repr=False, compare=False)
 
     def groebner(self) -> List[Poly]:
         """Reduced Groebner basis (cached; write-once)."""
         if self._basis is None:
             self._basis = buchberger(self.generators, self.order)
         return self._basis
+
+    def _keyed_basis(self) -> Tuple[List[Terms], List[Key]]:
+        """The reduced Groebner basis keyed, with its leading keys
+        (cached; write-once), for the queries of this module."""
+        if self._keyed is None:
+            basis = [_keyed(g, self.order) for g in self.groebner()]
+            self._keyed = basis, [max(g) for g in basis]
+        return self._keyed
 
     def contains_one(self) -> bool:
         g = self.groebner()
@@ -266,10 +316,10 @@ class Ideal:
 
 def member(f: Poly, ideal: Ideal) -> bool:
     """Exact ideal membership by zero normal form."""
-    basis = ideal.groebner()
+    basis, lms = ideal._keyed_basis()
     if not basis:
         return f.is_zero()
-    return normal_form(f, basis, ideal.order).is_zero()
+    return not _remainder(_keyed(f, ideal.order), basis, lms)
 
 
 _T = VarId("t", 1)
@@ -430,21 +480,22 @@ def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
     torsion vanishes identically in x."""
     h = haantjes(as_operator(family.tensor))
     order = default_order(sorted(family.params))
-    gens: List[Poly] = []
-    seen = set()
+    gens: Dict[str, Poly] = {}  # by printed form, which is canonical
     for comp in h.components:
         for coeff in comp.collect(frozenset(("x",))).values():
-            if coeff.is_zero():
-                continue
-            g = primitive_normalized(coeff, order)
-            key = str(g)
-            if key not in seen:
-                seen.add(key)
-                gens.append(g)
-    # drop generators already implied by the others
+            if not coeff.is_zero():
+                g = primitive_normalized(coeff, order)
+                gens.setdefault(str(g), g)
+    # drop generators already implied by the others, lowest degree first
+    keyed = {text: _keyed(g, order) for text, g in gens.items()}
     pruned: List[Poly] = []
-    for g in sorted(gens, key=lambda p: (max(m.degree for m in p.terms), str(p))):
-        if pruned and normal_form(g, pruned, order).is_zero():
+    basis: List[Terms] = []
+    lms: List[Key] = []
+    for text in sorted(gens, key=lambda t: (max(keyed[t])[0], t)):
+        k = keyed[text]
+        if basis and not _remainder(k, basis, lms):
             continue
-        pruned.append(g)
+        pruned.append(gens[text])
+        basis.append(k)
+        lms.append(max(k))
     return Ideal(pruned, order)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .symalg import Monomial, Poly, VarId, parse_poly
@@ -34,27 +34,32 @@ class UnsupportedDimension(KillingError):
 @dataclass
 class KillingFamily:
     """Linear family of Killing tensors, components linear in the
-    b-parameters and polynomial in x."""
+    b-parameters and polynomial in x.  The basis is computed once, on
+    first use, so do not modify the tensor after that."""
 
     dimension: int
     params: Tuple[VarId, ...]
     tensor: TensorField
+    _basis: Optional[Tuple[TensorField, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def basis(self) -> List[TensorField]:
         """Coefficient tensor of each parameter (the family must be
         homogeneous-linear in its parameters)."""
-        out = []
-        residual = self.tensor
-        for p in self.params:
-            coeff = self.tensor.map(lambda c, p=p: c.diff(p))
-            for comp in coeff.components:
-                if any(v.ns == "b" for v in comp.variables()):
-                    raise KillingError("family is not linear in its parameters")
-            out.append(coeff)
-            residual = residual - coeff.map(lambda c, p=p: c * Poly.variable(p))
-        if not residual.is_zero():
-            raise KillingError("family has a parameter-free part")
-        return out
+        if self._basis is None:
+            out = []
+            residual = self.tensor
+            for p in self.params:
+                coeff = self.tensor.map(lambda c, p=p: c.diff(p))
+                for comp in coeff.components:
+                    if any(v.ns == "b" for v in comp.variables()):
+                        raise KillingError("family is not linear in its parameters")
+                out.append(coeff)
+                residual = residual - coeff.map(lambda c, p=p: c * Poly.variable(p))
+            if not residual.is_zero():
+                raise KillingError("family has a parameter-free part")
+            self._basis = tuple(out)
+        return list(self._basis)
 
     def specialize(self, b: Mapping[VarId, object]) -> TensorField:
         """Substitute all parameters; result is a single Killing tensor."""

@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals (and small determinants over
 arbitrary commutative rings).
 
-Matrices are plain lists of lists of Fraction.  Everything here is a
-deterministic, single-threaded Gaussian elimination; the sizes involved
-are tiny (at most a few hundred rows), so no pivot heuristics are
-needed beyond "first nonzero entry".
+Matrices are plain lists of lists of Fraction.  `rref` is one
+incremental sparse elimination: each row, held as a {column: Fraction}
+map, is reduced against the pivot rows found so far and dropped when it
+reduces to zero; a new pivot (its smallest remaining column) is cleared
+from the earlier pivot rows.  Reduced echelon form is unique, so this
+gives the same matrix as dense Gauss-Jordan elimination, while the many
+redundant rows of the Killing-tensor conditions cost one reduction each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -19,30 +22,51 @@ Vector = List[Fraction]
 def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     """Reduced row-echelon form; returns (matrix, pivot column list).
 
-    Entries may be int or Fraction; every row a pivot touches becomes
-    Fraction, so the result is exact either way."""
-    m = [list(row) for row in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
+    Entries may be int or Fraction; the result is Fraction, exact either
+    way, with the zero rows last, so it has the input's shape."""
+    if not rows:
+        return [], []
+    nrows, ncols = len(rows), len(rows[0])
+    # pivot column -> the other nonzero entries of its row (the pivot is 1)
+    reduced: Dict[int, Dict[int, Fraction]] = {}
+    for row in rows:
+        r = {c: q for c, q in enumerate(row) if q}
+        for c in [c for c in r if c in reduced]:
+            f = r.pop(c)
+            _axpy(r, -f, reduced[c])
+        if not r:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / Fraction(m[r][c])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        p = min(r)
+        inv = 1 / Fraction(r.pop(p))
+        new = {c: q * inv for c, q in r.items()}
+        for prow in reduced.values():
+            f = prow.pop(p, None)
+            if f is not None:
+                _axpy(prow, -f, new)
+        reduced[p] = new
+        if len(reduced) == ncols:
             break
+    pivots = sorted(reduced)
+    zero, one = Fraction(0), Fraction(1)
+    m: Matrix = []
+    for p in pivots:
+        dense = [zero] * ncols
+        dense[p] = one
+        for c, q in reduced[p].items():
+            dense[c] = q
+        m.append(dense)
+    m += [[zero] * ncols for _ in range(nrows - len(pivots))]
     return m, pivots
+
+
+def _axpy(row: Dict[int, Fraction], f: Fraction, other: Mapping[int, Fraction]) -> None:
+    """row += f * other on sparse rows, dropping entries that cancel."""
+    for c, q in other.items():
+        v = row.get(c, 0) + f * q
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -51,6 +51,14 @@ class TestMonomialOrder:
         assert ext == MonomialOrder((B[0], B[1], var("t1"))) != a
         assert ext.exp_vector(next(iter(parse_poly("b2*t1^3").terms))) == (0, 1, 3)
 
+    def test_key_round_trip(self):
+        # variables out of the canonical order, and one with exponent 0
+        order = MonomialOrder((B[2], var("t1"), B[0], B[1]))
+        for text in ("b1^2*b3*t1^3", "b2", "1", "b3^4*b1"):
+            m = next(iter(parse_poly(text).terms))
+            assert order.monomial(order.key(m)) == m
+            assert order.key(m)[0] == m.degree
+
     def test_foreign_and_laurent_monomials_rejected(self):
         with pytest.raises(IdealsError):
             border(2).key(Monomial.of(var("b3")))
@@ -87,9 +95,10 @@ class TestBuchberger:
                     for _ in range(2))
             if f.is_zero() or g.is_zero():
                 continue
-            terms = ideals._s_terms(f, leading_term(f, order)[0],
-                                    g, leading_term(g, order)[0])
-            assert Poly(terms) == s_polynomial(f, g, order)
+            fk, gk = ideals._keyed(f, order), ideals._keyed(g, order)
+            terms = ideals._s_terms(fk, max(fk), gk, max(gk))
+            assert Poly({order.monomial(k): q for k, q in terms.items()}) \
+                == s_polynomial(f, g, order)
 
     def test_normal_form_is_linear(self):
         order = border(3)
@@ -105,6 +114,8 @@ class TestIdeal:
         g = parse_poly("b1^2 - b2")
         a, b = Ideal([g], border(3)), Ideal([g], border(3))
         a.groebner()
+        assert a == b
+        assert member(g, a)  # fills the keyed basis too
         assert a == b
 
 

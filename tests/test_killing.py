@@ -101,6 +101,14 @@ class TestCompatibleFamilies:
         merged = sub.basis() + sw1.basis()
         assert span_equal(merged, sw1.basis())
 
+    def test_basis_is_computed_once_and_returned_as_a_copy(self):
+        _, sw1 = catalog()["sw1"]
+        first = sw1.basis()
+        cached = sw1._basis
+        first.clear()
+        assert sw1.basis() == list(cached) and len(cached) == 6
+        assert sw1._basis is cached
+
     def test_family_members_are_killing(self):
         for name in ("sw1", "oo", "iv", "nonmaximal-3d"):
             _, fam = catalog()[name]
