@@ -44,12 +44,16 @@ def nijenhuis(a: OperatorField) -> TensorField:
 
     N^i_jk = dA^i_k/dx_a A^a_j - dA^i_j/dx_a A^a_k
              + (dA^a_j/dx_k - dA^a_k/dx_j) A^i_a,  summed over a.
+
+    The diagonal N^i_jj vanishes by antisymmetry and is not summed.
     """
     n = a.n
     da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
 
     def comp(idx):
         i, j, k = idx
+        if j == k:
+            return Poly.zero()
         total = Poly.zero()
         for s in range(n):
             total = total + da[(i, k, s)] * a[(s, j)]
@@ -65,12 +69,16 @@ def haantjes(a: OperatorField) -> TensorField:
 
     H^i_jk = N^b_jk A^i_a A^a_b + N^i_ab A^a_j A^b_k
              - A^i_a (N^a_bk A^b_j + N^a_jb A^b_k),  summed over a, b.
+
+    The diagonal H^i_jj vanishes by antisymmetry and is not summed.
     """
     n = a.n
     nij = nijenhuis(a)
 
     def comp(idx):
         i, j, k = idx
+        if j == k:
+            return Poly.zero()
         total = Poly.zero()
         for s in range(n):
             for b in range(n):

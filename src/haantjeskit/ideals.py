@@ -481,8 +481,12 @@ def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
     h = haantjes(as_operator(family.tensor))
     order = default_order(sorted(family.params))
     gens: Dict[str, Poly] = {}  # by printed form, which is canonical
-    for comp in h.components:
-        for coeff in comp.collect(frozenset(("x",))).values():
+    # H^i_kj = -H^i_jk normalizes to the same generator and H^i_jj = 0,
+    # so the components with j < k give every generator
+    for (i, j, k) in h.indices():
+        if j >= k:
+            continue
+        for coeff in h[(i, j, k)].collect(frozenset(("x",))).values():
             if not coeff.is_zero():
                 g = primitive_normalized(coeff, order)
                 gens.setdefault(str(g), g)

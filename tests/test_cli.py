@@ -1,9 +1,13 @@
 """Command-line front end: reports, exit codes, JSON stability."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import haantjeskit
 from haantjeskit import checks
 from haantjeskit.cli import (UnknownSystem, UsageError, _trials_from_env,
                              cmd_hessian, cmd_system, main)
@@ -161,3 +165,31 @@ class TestReproduce:
         assert fails == ["hessian-mixed-component-table",
                          "nonmaximal-radial-mechanics"]
         assert code == 1
+
+
+# Runs in a fresh isolated interpreter (python -I ignores PYTHONPATH and
+# the user site); argv[1] is the directory holding the package.  Modules
+# that site loads at start-up (certifi, on some installs) are in `before`.
+STDLIB_PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+from haantjeskit import cli
+from haantjeskit.killing import catalog
+catalog()
+cli.cmd_system("sw1", [])
+cli.cmd_hessian("x1^3 + x1*x2*x3", 3)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestStdlibOnly:
+    def test_pipelines_load_only_the_standard_library(self):
+        src = Path(haantjeskit.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-I", "-c", STDLIB_PROBE, str(src)],
+                             capture_output=True, text=True, check=True).stdout
+        loaded = out.splitlines()[-1].split()
+        assert "haantjeskit.ideals" in loaded
+        foreign = [m for m in loaded if m.partition(".")[0] != "haantjeskit"
+                   and m.partition(".")[0] not in sys.stdlib_module_names]
+        assert foreign == []

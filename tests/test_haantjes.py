@@ -8,8 +8,10 @@ import pytest
 from haantjeskit.haantjes import (OperatorField, as_operator,
                                   conservation_check, haantjes,
                                   is_haantjes_zero, nijenhuis)
-from haantjeskit.symalg import Poly, parse_poly, var
-from haantjeskit.tensor import TensorError, TensorField, hessian_operator
+from haantjeskit.killing import catalog
+from haantjeskit.symalg import Monomial, Poly, parse_poly, var
+from haantjeskit.tensor import (TensorError, TensorField, hessian_operator,
+                                partial_derivative)
 from .test_symalg import random_poly
 from .test_tensor import identity_operator
 
@@ -20,6 +22,68 @@ def random_operator(rng, n):
     return OperatorField(TensorField.from_function(
         n, (1, 1), lambda idx: random_poly(rng, XS[:n], max_terms=2,
                                            max_degree=2)))
+
+
+def seeded_operator(seed, n, kind):
+    """Operator on R^n with at most two terms per entry: polynomial in x,
+    Laurent in x (exponents down to -1), or parametric (polynomial in x
+    and linear in b1, b2)."""
+    rng = random.Random(seed)
+    xs = [var(f"x{s + 1}") for s in range(n)]
+    bs = [var("b1"), var("b2")]
+
+    def entry(_):
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            exps = {v: rng.randint(-1 if kind == "laurent" else 0, 2)
+                    for v in rng.sample(xs, rng.randint(0, 2))}
+            if kind == "parametric":
+                exps.update({b: 1 for b in rng.sample(bs, rng.randint(0, 1))})
+            terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return Poly(terms)
+
+    return OperatorField(TensorField.from_function(n, (1, 1), entry))
+
+
+def reference_nijenhuis(a):
+    """The defining sum of N^i_jk for every component, diagonal included."""
+    n = a.n
+    da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
+
+    def comp(idx):
+        i, j, k = idx
+        total = Poly.zero()
+        for s in range(n):
+            total = total + da[(i, k, s)] * a[(s, j)]
+            total = total - da[(i, j, s)] * a[(s, k)]
+            total = total + (da[(s, j, k)] - da[(s, k, j)]) * a[(i, s)]
+        return total
+
+    return TensorField.from_function(n, (1, 2), comp)
+
+
+def reference_haantjes(a):
+    """The defining sum of H^i_jk for every component, diagonal included."""
+    n = a.n
+    nij = reference_nijenhuis(a)
+
+    def comp(idx):
+        i, j, k = idx
+        total = Poly.zero()
+        for s in range(n):
+            for b in range(n):
+                total = total + nij[(b, j, k)] * a[(i, s)] * a[(s, b)]
+                total = total + nij[(i, s, b)] * a[(s, j)] * a[(b, k)]
+                total = total - a[(i, s)] * (nij[(s, b, k)] * a[(b, j)]
+                                             + nij[(s, j, b)] * a[(b, k)])
+        return total
+
+    return TensorField.from_function(n, (1, 2), comp)
+
+
+SEEDED = [(seed, n, kind) for n in (2, 3, 4)
+          for kind in ("polynomial", "laurent", "parametric")
+          for seed in range(2)]
 
 
 class TestValence:
@@ -35,6 +99,26 @@ class TestValence:
         assert a.tensor.components == k.components
         with pytest.raises(TensorError):
             as_operator(a.tensor)
+
+
+class TestReferenceSums:
+    """nijenhuis/haantjes skip the diagonal j == k; every component must
+    still equal the full defining sum."""
+
+    @staticmethod
+    def assert_matches(a):
+        for computed, reference in ((nijenhuis(a), reference_nijenhuis(a)),
+                                    (haantjes(a), reference_haantjes(a))):
+            for idx in reference.indices():
+                assert computed[idx] == reference[idx], idx
+
+    @pytest.mark.parametrize("seed,n,kind", SEEDED)
+    def test_seeded_operators(self, seed, n, kind):
+        self.assert_matches(seeded_operator(seed, n, kind))
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_catalog_families(self, name):
+        self.assert_matches(as_operator(catalog()[name][1].tensor))
 
 
 class TestAlgebraicProperties:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from haantjeskit import checks, ideals
+from haantjeskit.haantjes import as_operator, haantjes
 from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 UnitIdeal, ZeroIdeal, buchberger,
                                 default_order, haantjes_zero_ideal,
@@ -13,7 +14,9 @@ from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 linear_factor, member, monic, normal_form,
                                 primitive_normalized, radical_member,
                                 s_polynomial)
+from haantjeskit.killing import KillingFamily, catalog, killing_space
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var
+from haantjeskit.tensor import TensorField
 
 B = [var(f"b{i}") for i in range(1, 7)]
 
@@ -121,7 +124,6 @@ class TestIdeal:
 
 @pytest.fixture(scope="module")
 def catalog_ideals():
-    from haantjeskit.killing import catalog
     ideals = {name: haantjes_zero_ideal(catalog()[name][1])
               for name in ("sw1", "oo", "iv")}
     ideals["reference"] = checks.sw1_reference_ideal()
@@ -414,16 +416,54 @@ class TestLinearFactorOracle:
         assert linear_factor(f) == [] == self.sympy_linear_factors(f)
 
 
+def seeded_family(seed):
+    """3D family c1 b1 K1 + ... + cm bm Km: distinct killing_space(3)
+    elements K_p, small nonzero integers c_p."""
+    rng = random.Random(seed)
+    params = tuple(B[:rng.randint(2, 3)])
+    tensor = TensorField.zero(3, (0, 2))
+    for b, k in zip(params, rng.sample(killing_space(3), len(params))):
+        c = Poly.variable(b) * rng.choice((-2, -1, 1, 2))
+        tensor = tensor + k.map(lambda e: e * c)
+    return KillingFamily(dimension=3, params=params, tensor=tensor)
+
+
+def all_components_generators(family):
+    """haantjes_zero_ideal's generators, read from all n^3 components of
+    the torsion."""
+    h = haantjes(as_operator(family.tensor))
+    order = default_order(sorted(family.params))
+    gens = {}
+    for comp in h.components:
+        for coeff in comp.collect(frozenset(("x",))).values():
+            if not coeff.is_zero():
+                g = primitive_normalized(coeff, order)
+                gens.setdefault(str(g), g)
+    pruned = []
+    for text in sorted(gens, key=lambda t: (max(m.degree for m in gens[t].terms), t)):
+        if not (pruned and normal_form(gens[text], pruned, order).is_zero()):
+            pruned.append(gens[text])
+    return pruned
+
+
 class TestHaantjesZeroIdeal:
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_catalog_generators_from_all_components(self, name):
+        fam = catalog()[name][1]
+        assert haantjes_zero_ideal(fam).generators == all_components_generators(fam)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_generators_from_all_components(self, seed):
+        fam = seeded_family(seed)
+        assert haantjes_zero_ideal(fam).generators == all_components_generators(fam)
+
     def test_oscillator_ideal_is_zero(self):
-        from haantjeskit.killing import catalog
         _, fam = catalog()["oscillator"]
         ideal = haantjes_zero_ideal(fam)
         assert ideal.generators == []
         assert ideal.groebner() == []
 
     def test_generators_primitive_normalized(self):
-        from haantjeskit.killing import catalog
         _, fam = catalog()["oo"]
         ideal = haantjes_zero_ideal(fam)
         for g in ideal.generators:
