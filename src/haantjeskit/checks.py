@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,15 +125,16 @@ F_GOLDENS = {
 HESSIAN_MIXED_CLAIM = "2*x1^3 - 2*x1*x2^2"
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named check."""
 
-    name: str
-    verdict: str  # "pass" | "fail" | "evidence-only"
-    detail: str
-    payload: Dict[str, object] = field(default_factory=dict)
-    seconds: float = 0.0
+    def __init__(self, name: str, verdict: str, detail: str,
+                 payload: Optional[Dict[str, object]] = None, seconds: float = 0.0):
+        self.name = name
+        self.verdict = verdict  # "pass" | "fail" | "evidence-only"
+        self.detail = detail
+        self.payload = {} if payload is None else payload
+        self.seconds = seconds
 
     def to_json_obj(self) -> Dict[str, object]:
         return {

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import __version__, checks
@@ -37,14 +36,14 @@ class UsageError(Exception):
     HAANTJES_TRIALS."""
 
 
-@dataclass
 class Report:
     """Aggregated outcome of one command invocation."""
 
-    version: str
-    command: str
-    checks: List[CheckResult]
-    seconds: float
+    def __init__(self, version: str, command: str, checks: List[CheckResult], seconds: float):
+        self.version = version
+        self.command = command
+        self.checks = checks
+        self.seconds = seconds
 
     def ok(self) -> bool:
         return all(c.verdict != "fail" for c in self.checks)

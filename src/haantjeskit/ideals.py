@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -49,23 +48,27 @@ Key = Tuple[int, ...]
 Terms = Dict[Key, Fraction]
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Graded reverse lexicographic order on a fixed variable sequence:
     graded, ties broken by the smallest exponent in the last differing
-    variable."""
+    variable.  Equal and hashed by its variables."""
 
-    variables: Tuple[VarId, ...]
-    _pos: Dict[VarId, int] = field(init=False, repr=False, compare=False)
-    # (key index, variable) in the canonical variable order of Monomial
-    _canon: Tuple[Tuple[int, VarId], ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, variables: Tuple[VarId, ...]):
+        n = len(variables)
+        self.variables = variables
+        self._pos = {v: i for i, v in enumerate(variables)}
+        # (key index, variable) in the canonical variable order of Monomial
+        self._canon = tuple(sorted(((n - i, v) for i, v in enumerate(variables)),
+                                   key=lambda iv: _var_key(iv[1])))
 
-    def __post_init__(self):
-        n = len(self.variables)
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.variables)})
-        object.__setattr__(self, "_canon", tuple(sorted(
-            ((n - i, v) for i, v in enumerate(self.variables)),
-            key=lambda iv: _var_key(iv[1]))))
+    def __eq__(self, other):
+        return isinstance(other, MonomialOrder) and self.variables == other.variables
+
+    def __hash__(self):
+        return hash(self.variables)
+
+    def __repr__(self):
+        return f"MonomialOrder(variables={self.variables!r})"
 
     def exp_vector(self, m: Monomial) -> Tuple[int, ...]:
         vec = [0] * len(self.variables)
@@ -284,16 +287,19 @@ def _reduce_basis(basis: List[Terms], lms: List[Key]) -> List[Terms]:
     return reduced
 
 
-@dataclass
 class Ideal:
     """Finitely generated ideal in the polynomial ring of its order."""
 
-    generators: List[Poly]
-    order: MonomialOrder
-    _basis: Optional[List[Poly]] = field(default=None, repr=False, compare=False)
-    # the same basis keyed, with its leading keys
-    _keyed: Optional[Tuple[List[Terms], List[Key]]] = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, generators: List[Poly], order: MonomialOrder):
+        self.generators = generators
+        self.order = order
+        self._basis: Optional[List[Poly]] = None
+        # the same basis keyed, with its leading keys
+        self._keyed: Optional[Tuple[List[Terms], List[Key]]] = None
+
+    def __eq__(self, other):
+        return (isinstance(other, Ideal) and self.generators == other.generators
+                and self.order == other.order)
 
     def groebner(self) -> List[Poly]:
         """Reduced Groebner basis (cached; write-once)."""

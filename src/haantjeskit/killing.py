@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,17 +30,16 @@ class UnsupportedDimension(KillingError):
     pass
 
 
-@dataclass
 class KillingFamily:
     """Linear family of Killing tensors, components linear in the
     b-parameters and polynomial in x.  The basis is computed once, on
     first use, so do not modify the tensor after that."""
 
-    dimension: int
-    params: Tuple[VarId, ...]
-    tensor: TensorField
-    _basis: Optional[Tuple[TensorField, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    def __init__(self, dimension: int, params: Tuple[VarId, ...], tensor: TensorField):
+        self.dimension = dimension
+        self.params = params
+        self.tensor = tensor
+        self._basis: Optional[Tuple[TensorField, ...]] = None
 
     def basis(self) -> List[TensorField]:
         """Coefficient tensor of each parameter (the family must be
@@ -70,13 +68,13 @@ class KillingFamily:
         return self.tensor.map(lambda c: c.substitute(binds))
 
 
-@dataclass
 class PotentialSpec:
     """Named list of conservation-law generators (potential terms)."""
 
-    name: str
-    dimension: int
-    generators: List[Poly]
+    def __init__(self, name: str, dimension: int, generators: List[Poly]):
+        self.name = name
+        self.dimension = dimension
+        self.generators = generators
 
 
 # ---- linear conditions on a generic combination ----------------------

@@ -126,10 +126,9 @@ def row_space_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
 
 
 def ring_det(m, zero, one):
-    """Determinant by cofactor expansion; entries need +, -, *.
-
-    Suitable for small symbolic matrices (n <= 4).
-    """
+    """Determinant by cofactor expansion, skipping the entries equal to
+    `zero`; entries need +, -, * and ==.  For small or sparse symbolic
+    matrices."""
     n = len(m)
     if n == 0:
         return one
@@ -137,9 +136,10 @@ def ring_det(m, zero, one):
         return m[0][0]
     total = zero
     for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * ring_det(minor, zero, one)
-        total = total + term if j % 2 == 0 else total - term
+        if m[0][j] != zero:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = m[0][j] * ring_det(minor, zero, one)
+            total = total + term if j % 2 == 0 else total - term
     return total
 
 

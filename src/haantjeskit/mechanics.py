@@ -10,7 +10,6 @@ allowed) and momentum variables p1..pn.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -45,15 +44,13 @@ def _p(i: int) -> VarId:
     return VarId("p", i)
 
 
-@dataclass
 class PhaseFunction:
     """Function on T*R^n: polynomial in momenta, Laurent in positions."""
 
-    dimension: int
-    poly: Poly
-
-    def __post_init__(self):
-        for m in self.poly.terms:
+    def __init__(self, dimension: int, poly: Poly):
+        self.dimension = dimension
+        self.poly = poly
+        for m in poly.terms:
             for v, e in m.exps:
                 if v.ns == "p" and e < 0:
                     raise MechanicsError("negative momentum exponents are not allowed")
@@ -161,14 +158,14 @@ def functional_independence(fs: Sequence[PhaseFunction], trials: int = 10,
 # ---- structural tensor ------------------------------------------------
 
 
-@dataclass
 class StructuralTensor:
     """Point value of the tensor P^{ab}_{ijk} with derivative law
     grad_k K_ij = P^{ab}_{ijk} K_ab on the family; symmetric in (a,b)
     and in (i,j)."""
 
-    dimension: int
-    values: Dict[Tuple[int, int, int, int, int], Fraction]
+    def __init__(self, dimension: int, values: Dict[Tuple[int, int, int, int, int], Fraction]):
+        self.dimension = dimension
+        self.values = values
 
     def __call__(self, a: int, b: int, i: int, j: int, k: int) -> Fraction:
         a, b = sorted((a, b))

@@ -9,6 +9,7 @@ import pytest
 
 import haantjeskit
 from haantjeskit import checks
+from haantjeskit.checks import CheckResult
 from haantjeskit.cli import (UnknownSystem, UsageError, _trials_from_env,
                              cmd_hessian, cmd_system, main)
 from haantjeskit.killing import catalog
@@ -183,13 +184,30 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
+@pytest.fixture(scope="module")
+def probe_loaded():
+    """The modules that STDLIB_PROBE's pipelines load."""
+    src = Path(haantjeskit.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-I", "-c", STDLIB_PROBE, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
 class TestStdlibOnly:
-    def test_pipelines_load_only_the_standard_library(self):
-        src = Path(haantjeskit.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-I", "-c", STDLIB_PROBE, str(src)],
-                             capture_output=True, text=True, check=True).stdout
-        loaded = out.splitlines()[-1].split()
-        assert "haantjeskit.ideals" in loaded
-        foreign = [m for m in loaded if m.partition(".")[0] != "haantjeskit"
+    def test_pipelines_load_only_the_standard_library(self, probe_loaded):
+        assert "haantjeskit.ideals" in probe_loaded
+        foreign = [m for m in probe_loaded if m.partition(".")[0] != "haantjeskit"
                    and m.partition(".")[0] not in sys.stdlib_module_names]
         assert foreign == []
+
+    def test_no_dataclasses_or_inspect(self, probe_loaded):
+        # `dataclasses` pulls in inspect, ast, dis and tokenize, close to
+        # a fifth of every command's start-up
+        assert {"dataclasses", "inspect"}.isdisjoint(probe_loaded)
+
+
+class TestCheckResult:
+    def test_default_payloads_are_separate(self):
+        a, b = CheckResult("a", "pass", ""), CheckResult("b", "pass", "")
+        a.payload["k"] = 1
+        assert b.payload == {}

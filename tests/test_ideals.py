@@ -54,6 +54,12 @@ class TestMonomialOrder:
         assert ext == MonomialOrder((B[0], B[1], var("t1"))) != a
         assert ext.exp_vector(next(iter(parse_poly("b2*t1^3").terms))) == (0, 1, 3)
 
+    def test_equal_orders_are_one_dict_key(self):
+        table = {border(2): "first", border(2): "second"}
+        assert list(table.values()) == ["second"]
+        assert border(2) != border(3)
+        assert border(2) != default_order([B[1], B[0]])
+
     def test_key_round_trip(self):
         # variables out of the canonical order, and one with exponent 0
         order = MonomialOrder((B[2], var("t1"), B[0], B[1]))

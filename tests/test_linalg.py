@@ -170,3 +170,42 @@ def test_ring_det_and_adjugate(seed):
     for i in range(3):
         for j in range(3):
             assert sympy.expand(poly_to_sympy(adj[i][j]) - expected[i, j]) == 0
+
+
+def full_cofactor_det(m, zero, one):
+    """Cofactor expansion along the first row without skipping zeros."""
+    if not m:
+        return one
+    total = zero
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * full_cofactor_det(minor, zero, one)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_ring_det_on_sparse_matrices_matches_full_expansion(n):
+    for seed in range(8):
+        rng = random.Random(100 * n + seed)
+
+        def sparse(entry, zero):
+            return [[entry() if rng.random() < 0.4 else zero for _ in range(n)]
+                    for _ in range(n)]
+
+        fracs = sparse(lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(0))
+        assert ring_det(fracs, Fraction(0), Fraction(1)) == \
+            full_cofactor_det(fracs, Fraction(0), Fraction(1))
+        polys = sparse(lambda: parse_poly(f"{rng.randint(1, 3)}*x{rng.randint(1, 3)} - 1"),
+                       Poly.zero())
+        assert ring_det(polys, Poly.zero(), Poly.const(1)) == \
+            full_cofactor_det(polys, Poly.zero(), Poly.const(1))
+
+
+def test_ring_det_multiplies_no_zero_poly_entry(monkeypatch):
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    m = [[Poly.zero()] * 3] + [[parse_poly("x1 + 1")] * 3 for _ in range(2)]
+    assert ring_det(m, Poly.zero(), Poly.const(1)).is_zero()
+    assert products == []

@@ -8,12 +8,12 @@ import pytest
 
 from haantjeskit import checks
 from haantjeskit.killing import catalog
-from haantjeskit.mechanics import (DegenerateK, NotCompatible, PhaseFunction,
-                                   abundant_haantjes, build_integral,
+from haantjeskit.mechanics import (DegenerateK, MechanicsError, NotCompatible,
+                                   PhaseFunction, abundant_haantjes, build_integral,
                                    condition_6b, functional_independence,
                                    haantjes_at, hamiltonian, poisson,
                                    random_rational, structural_tensor_at)
-from haantjeskit.symalg import Poly, parse_poly, var
+from haantjeskit.symalg import Monomial, Poly, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField
 from .test_tensor import identity_operator
 
@@ -41,6 +41,12 @@ class TestPoisson:
                  + poisson(g, poisson(h, f)).poly
                  + poisson(h, poisson(f, g)).poly)
         assert total.is_zero()
+
+    def test_negative_momentum_exponent_rejected(self):
+        # the parser refuses p1^-1, so build it through the trusted constructors
+        p1_inverse = Monomial._raw(((var("p1"), -1),))
+        with pytest.raises(MechanicsError):
+            PhaseFunction(2, Poly._raw({p1_inverse: Fraction(1)}))
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
