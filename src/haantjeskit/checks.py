@@ -567,18 +567,38 @@ def _random_operator(rng: random.Random, n: int) -> OperatorField:
         n, (1, 1), lambda idx: _random_poly(rng, xs)))
 
 
+def _swap_coordinates(t: TensorField, p: int, q: int) -> TensorField:
+    """t in the coordinates with x_p and x_q exchanged (0-based p, q):
+    the two variables are swapped in every component and the indices p
+    and q in every slot."""
+    xp, xq = VarId("x", p + 1), VarId("x", q + 1)
+    swap = {xp: Poly.variable(xq), xq: Poly.variable(xp)}
+    perm = list(range(t.n))
+    perm[p], perm[q] = q, p
+    return TensorField.from_function(
+        t.n, t.valence, lambda idx: t[tuple(perm[i] for i in idx)].substitute(swap))
+
+
 def check_torsion_properties(seed: int = 0, count: int = 50) -> CheckResult:
-    """Antisymmetry in the lower index pair, quadratic/quartic scaling
-    under A -> c*A, and the universal two-dimensional vanishing of the
-    Haantjes torsion."""
+    """Invariance under exchanging two coordinates, quadratic/quartic
+    scaling under A -> c*A, and the universal two-dimensional vanishing
+    of the Haantjes torsion.
+
+    Both torsions are tensors, so the torsion of the operator with x_p
+    and x_q exchanged is the torsion with x_p and x_q exchanged.  An
+    exchange maps some pairs j < k to pairs k > j, so this fails when
+    the components filled in from antisymmetry are wrong.  The payload
+    reports it as "antisymmetry"."""
     rng = random.Random(seed)
-    antisym = scaling = True
-    for _ in range(max(5, count // 10)):
+    swapped = scaling = True
+    for sample in range(max(5, count // 10)):
         a = _random_operator(rng, 3)
         n_t, h_t = nijenhuis(a), haantjes(a)
-        for (i, j, k) in n_t.indices():
-            if n_t[(i, j, k)] != -n_t[(i, k, j)] or h_t[(i, j, k)] != -h_t[(i, k, j)]:
-                antisym = False
+        pair = ((0, 1), (0, 2), (1, 2))[sample % 3]
+        b = OperatorField(_swap_coordinates(a.tensor, *pair))
+        if (nijenhuis(b) != _swap_coordinates(n_t, *pair)
+                or haantjes(b) != _swap_coordinates(h_t, *pair)):
+            swapped = False
         c = Fraction(rng.randint(1, 7), rng.randint(1, 5))
         scaled = OperatorField(a.tensor.map(lambda p: p * Poly.const(c)))
         if (nijenhuis(scaled) != n_t.map(lambda p: p * Poly.const(c ** 2))
@@ -586,12 +606,12 @@ def check_torsion_properties(seed: int = 0, count: int = 50) -> CheckResult:
             scaling = False
     planar = all(haantjes(_random_operator(rng, 2)).is_zero()
                  for _ in range(count))
-    ok = antisym and scaling and planar
+    ok = swapped and scaling and planar
     return CheckResult(
         name="torsion-property-suite",
         verdict=_verdict(ok),
         detail="antisymmetry, c^2/c^4 scaling, 2D Haantjes vanishing",
-        payload={"antisymmetry": antisym, "scaling": scaling,
+        payload={"antisymmetry": swapped, "scaling": scaling,
                  "planar_vanishing": planar, "planar_samples": count},
     )
 

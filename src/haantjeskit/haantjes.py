@@ -7,7 +7,7 @@ covariant derivative is the component-wise partial derivative.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .symalg import Poly, VarId
 from .tensor import TensorField, TensorError, partial_derivative
@@ -39,29 +39,54 @@ def as_operator(k: TensorField) -> OperatorField:
     return OperatorField(TensorField(k.n, (1, 1), list(k.components)))
 
 
+def _add_product(total: Poly, sign: int, *factors: Poly) -> Poly:
+    """total + sign * (factors multiplied left to right).  A factor
+    with no terms skips the product: operator fields such as Hessians
+    are sparse, and most products in the torsion sums have one."""
+    for f in factors:
+        if not f.terms:
+            return total
+    p = factors[0]
+    for f in factors[1:]:
+        p = p * f
+    return total + p if sign > 0 else total - p
+
+
+def _skew_tensor(n: int, comp: Callable[[int, int, int], Poly]) -> TensorField:
+    """The (1,2) tensor with components comp(i, j, k) for j < k, their
+    negatives at (i, k, j) and zero on the diagonal j == k."""
+    comps = [Poly.zero()] * n ** 3
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                value = comp(i, j, k)
+                comps[(i * n + j) * n + k] = value
+                comps[(i * n + k) * n + j] = -value
+    return TensorField(n, (1, 2), comps)
+
+
 def nijenhuis(a: OperatorField) -> TensorField:
     """Nijenhuis torsion N^i_jk, antisymmetric in (j, k).
 
     N^i_jk = dA^i_k/dx_a A^a_j - dA^i_j/dx_a A^a_k
              + (dA^a_j/dx_k - dA^a_k/dx_j) A^i_a,  summed over a.
 
-    The diagonal N^i_jj vanishes by antisymmetry and is not summed.
+    The sum is computed for j < k only; N^i_kj is filled in as -N^i_jk
+    and the diagonal N^i_jj is zero.  Products with a zero factor are
+    skipped.
     """
     n = a.n
     da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
 
-    def comp(idx):
-        i, j, k = idx
-        if j == k:
-            return Poly.zero()
+    def comp(i, j, k):
         total = Poly.zero()
         for s in range(n):
-            total = total + da[(i, k, s)] * a[(s, j)]
-            total = total - da[(i, j, s)] * a[(s, k)]
-            total = total + (da[(s, j, k)] - da[(s, k, j)]) * a[(i, s)]
+            total = _add_product(total, 1, da[(i, k, s)], a[(s, j)])
+            total = _add_product(total, -1, da[(i, j, s)], a[(s, k)])
+            total = _add_product(total, 1, da[(s, j, k)] - da[(s, k, j)], a[(i, s)])
         return total
 
-    return TensorField.from_function(n, (1, 2), comp)
+    return _skew_tensor(n, comp)
 
 
 def haantjes(a: OperatorField) -> TensorField:
@@ -70,25 +95,25 @@ def haantjes(a: OperatorField) -> TensorField:
     H^i_jk = N^b_jk A^i_a A^a_b + N^i_ab A^a_j A^b_k
              - A^i_a (N^a_bk A^b_j + N^a_jb A^b_k),  summed over a, b.
 
-    The diagonal H^i_jj vanishes by antisymmetry and is not summed.
+    The sum is computed for j < k only; H^i_kj is filled in as -H^i_jk
+    and the diagonal H^i_jj is zero.  Products with a zero factor are
+    skipped.
     """
     n = a.n
     nij = nijenhuis(a)
 
-    def comp(idx):
-        i, j, k = idx
-        if j == k:
-            return Poly.zero()
+    def comp(i, j, k):
         total = Poly.zero()
         for s in range(n):
             for b in range(n):
-                total = total + nij[(b, j, k)] * a[(i, s)] * a[(s, b)]
-                total = total + nij[(i, s, b)] * a[(s, j)] * a[(b, k)]
-                total = total - a[(i, s)] * (nij[(s, b, k)] * a[(b, j)]
-                                             + nij[(s, j, b)] * a[(b, k)])
+                total = _add_product(total, 1, nij[(b, j, k)], a[(i, s)], a[(s, b)])
+                total = _add_product(total, 1, nij[(i, s, b)], a[(s, j)], a[(b, k)])
+                inner = _add_product(Poly.zero(), 1, nij[(s, b, k)], a[(b, j)])
+                inner = _add_product(inner, 1, nij[(s, j, b)], a[(b, k)])
+                total = _add_product(total, -1, a[(i, s)], inner)
         return total
 
-    return TensorField.from_function(n, (1, 2), comp)
+    return _skew_tensor(n, comp)
 
 
 def pullback_differential(a: OperatorField, u: Poly) -> TensorField:
@@ -123,12 +148,12 @@ def is_haantjes_zero(a: OperatorField) -> Tuple[bool, Optional[Tuple[int, int, i
     """Whether the Haantjes torsion vanishes identically.
 
     On failure, returns (False, (i, j, k, component)) with 1-based
-    indices of one nonzero component as a witness.
+    indices of the first nonzero component in index order as a
+    witness.  H^i_kj = -H^i_jk, so that component has j < k and only
+    those are scanned.
     """
     h = haantjes(a)
-    for idx in h.indices():
-        c = h[idx]
-        if not c.is_zero():
-            i, j, k = idx
-            return False, (i + 1, j + 1, k + 1, c)
+    for (i, j, k) in h.indices():
+        if j < k and not h[(i, j, k)].is_zero():
+            return False, (i + 1, j + 1, k + 1, h[(i, j, k)])
     return True, None

@@ -45,6 +45,27 @@ def seeded_operator(seed, n, kind):
     return OperatorField(TensorField.from_function(n, (1, 1), entry))
 
 
+def seeded_hessian(seed, n):
+    """Hessian operator of a seeded polynomial in x1..xn with four terms
+    of degree 2 to 4: some entries are zero, and so are many products
+    in the torsion sums."""
+    rng = random.Random(seed)
+    xs = [var(f"x{s + 1}") for s in range(n)]
+    f = Poly.zero()
+    for _ in range(4):
+        term = Poly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                   rng.randint(1, 4)))
+        for v in rng.choices(xs, k=rng.randint(2, 4)):
+            term = term * Poly.variable(v)
+        f = f + term
+    return OperatorField(hessian_operator(f, n))
+
+
+def matrix_operator(rows):
+    return OperatorField(TensorField.from_matrix(
+        [[parse_poly(c) for c in row] for row in rows], valence=(1, 1)))
+
+
 def reference_nijenhuis(a):
     """The defining sum of N^i_jk for every component, diagonal included."""
     n = a.n
@@ -102,8 +123,9 @@ class TestValence:
 
 
 class TestReferenceSums:
-    """nijenhuis/haantjes skip the diagonal j == k; every component must
-    still equal the full defining sum."""
+    """nijenhuis/haantjes sum only j < k, fill in j > k by antisymmetry
+    and skip products with a zero factor; every component, diagonal and
+    j > k included, must still equal the full defining sum."""
 
     @staticmethod
     def assert_matches(a):
@@ -120,15 +142,37 @@ class TestReferenceSums:
     def test_catalog_families(self, name):
         self.assert_matches(as_operator(catalog()[name][1].tensor))
 
+    # Sparse operators: most products in the sums have a zero factor
+    # and are skipped.
+    @pytest.mark.parametrize("seed,n", [(seed, n) for n in (3, 4)
+                                        for seed in range(3)])
+    def test_seeded_hessians(self, seed, n):
+        self.assert_matches(seeded_hessian(seed, n))
+
+    def test_diagonal_operator(self):
+        self.assert_matches(matrix_operator([["x2^2", "0", "0"],
+                                             ["0", "x1*x3", "0"],
+                                             ["0", "0", "x1 + x2"]]))
+
+    def test_zero_row_and_column(self):
+        # Row 2 and column 3 are zero.
+        self.assert_matches(matrix_operator([["x2*x3", "x1", "0"],
+                                             ["0", "0", "0"],
+                                             ["x1^2 - x3", "2*x2", "0"]]))
+
 
 class TestAlgebraicProperties:
     def test_antisymmetry(self):
+        # Components with j > k are filled in from the j < k ones, so
+        # each is compared with the full defining sum at (i, k, j).
         rng = random.Random(0)
         for _ in range(10):
             a = random_operator(rng, 3)
-            for t in (nijenhuis(a), haantjes(a)):
+            for t, reference in ((nijenhuis(a), reference_nijenhuis(a)),
+                                 (haantjes(a), reference_haantjes(a))):
                 for (i, j, k) in t.indices():
-                    assert t[(i, j, k)] == -t[(i, k, j)]
+                    if j > k:
+                        assert t[(i, j, k)] == -reference[(i, k, j)]
 
     def test_scaling(self):
         rng = random.Random(1)
@@ -181,11 +225,90 @@ class TestHessianExamples:
         zero, witness = is_haantjes_zero(op)
         assert not zero and witness is not None
 
+    @pytest.mark.parametrize("seed,n", [(seed, n) for n in (3, 4)
+                                        for seed in range(4)])
+    def test_witness_is_first_nonzero_component(self, seed, n):
+        op = seeded_hessian(seed, n)
+        h = haantjes(op)
+        first = next(((i + 1, j + 1, k + 1, h[(i, j, k)])
+                      for (i, j, k) in h.indices() if not h[(i, j, k)].is_zero()),
+                     None)
+        assert is_haantjes_zero(op) == (first is None, first)
+
     def test_witness_indices_are_one_based(self):
         op = OperatorField(hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3))
         _, (i, j, k, component) = is_haantjes_zero(op)
         assert min(i, j, k) >= 1 and max(i, j, k) <= 3
         assert not component.is_zero()
+
+
+class TestSympyOracle:
+    """N and H from their definitions on vector fields, with Lie
+    brackets computed by sympy, against every component of the
+    component-formula torsions:
+
+        N(X,Y) = [AX,AY] - A[AX,Y] - A[X,AY] + A^2[X,Y]
+        H(X,Y) = A^2 N(X,Y) + N(AX,AY) - A(N(AX,Y) + N(X,AY))
+
+    with N^i_jk = N(e_j, e_k)^i and H^i_jk = H(e_j, e_k)^i for the
+    coordinate fields e_j."""
+
+    @staticmethod
+    def assert_matches(a):
+        sympy = pytest.importorskip("sympy")
+        n = a.n
+        names = sorted({str(v) for c in a.tensor.components for v in c.variables()}
+                       | {f"x{s + 1}" for s in range(n)})
+        R, *gens = sympy.ring(names, sympy.QQ)
+        xs = [gens[names.index(f"x{s + 1}")] for s in range(n)]
+
+        def elem(p):
+            return R(sympy.sympify(str(p).replace("^", "**")))
+
+        A = [[elem(a[(i, j)]) for j in range(n)] for i in range(n)]
+
+        def add(*vectors):
+            return [sum(cs, R.zero) for cs in zip(*vectors)]
+
+        def neg(v):
+            return [-c for c in v]
+
+        def apply(x):
+            return add(*([A[i][j] * x[j] for i in range(n)] for j in range(n)))
+
+        def bracket(x, y):
+            return add(*([x[j] * y[i].diff(xs[j]) - y[j] * x[i].diff(xs[j])
+                          for i in range(n)] for j in range(n)))
+
+        def nij(x, y):
+            ax, ay = apply(x), apply(y)
+            return add(bracket(ax, ay), neg(apply(bracket(ax, y))),
+                       neg(apply(bracket(x, ay))), apply(apply(bracket(x, y))))
+
+        def haa(x, y):
+            ax, ay = apply(x), apply(y)
+            return add(apply(apply(nij(x, y))), nij(ax, ay),
+                       neg(apply(add(nij(ax, y), nij(x, ay)))))
+
+        e = [[R(int(i == j)) for i in range(n)] for j in range(n)]
+        for oracle, computed in ((nij, nijenhuis(a)), (haa, haantjes(a))):
+            for j in range(n):
+                for k in range(n):
+                    v = oracle(e[j], e[k])
+                    for i in range(n):
+                        assert v[i] == elem(computed[(i, j, k)]), (i, j, k)
+
+    def test_mixed_cubic(self):
+        op = OperatorField(hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3))
+        assert haantjes(op)[(1, 2, 0)] == parse_poly("12*x1*x2^2 - 12*x1*x3^2")
+        self.assert_matches(op)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_four_variable_hessians(self, seed):
+        self.assert_matches(seeded_hessian(seed, 4))
+
+    def test_oo_family(self):
+        self.assert_matches(as_operator(catalog()["oo"][1].tensor))
 
 
 class TestConservation:
