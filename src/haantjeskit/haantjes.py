@@ -7,9 +7,10 @@ covariant derivative is the component-wise partial derivative.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .symalg import Poly, VarId
+from .symalg import Monomial, Poly, VarId
 from .tensor import TensorField, TensorError, partial_derivative
 
 
@@ -39,17 +40,28 @@ def as_operator(k: TensorField) -> OperatorField:
     return OperatorField(TensorField(k.n, (1, 1), list(k.components)))
 
 
-def _add_product(total: Poly, sign: int, *factors: Poly) -> Poly:
-    """total + sign * (factors multiplied left to right).  A factor
-    with no terms skips the product: operator fields such as Hessians
-    are sparse, and most products in the torsion sums have one."""
-    for f in factors:
-        if not f.terms:
-            return total
-    p = factors[0]
-    for f in factors[1:]:
-        p = p * f
-    return total + p if sign > 0 else total - p
+Terms = Dict[Monomial, Fraction]
+
+
+def _sum_products(products: Iterable[Tuple[int, Terms, Terms]]) -> Poly:
+    """The sum of sign * p * q over (sign, p, q), with p and q term
+    maps, accumulated in one coefficient map.  A product with a factor
+    that has no terms is skipped: operator fields such as Hessians are
+    sparse, and most products in the torsion sums have one.  A term
+    that cancels stays as a zero until the one filter at the end."""
+    acc: Terms = {}
+    get = acc.get
+    for sign, p, q in products:
+        if not (p and q):
+            continue
+        for m1, c1 in p.items():
+            if sign < 0:
+                c1 = -c1
+            for m2, c2 in q.items():
+                m = m1 * m2
+                c = get(m)
+                acc[m] = c1 * c2 if c is None else c + c1 * c2
+    return Poly._raw({m: c for m, c in acc.items() if c})
 
 
 def _skew_tensor(n: int, comp: Callable[[int, int, int], Poly]) -> TensorField:
@@ -71,20 +83,24 @@ def nijenhuis(a: OperatorField) -> TensorField:
     N^i_jk = dA^i_k/dx_a A^a_j - dA^i_j/dx_a A^a_k
              + (dA^a_j/dx_k - dA^a_k/dx_j) A^i_a,  summed over a.
 
-    The sum is computed for j < k only; N^i_kj is filled in as -N^i_jk
-    and the diagonal N^i_jj is zero.  Products with a zero factor are
-    skipped.
+    The curl C^a_jk = dA^a_j/dx_k - dA^a_k/dx_j is computed once per
+    (a, j < k).  The sum is computed for j < k only, into one
+    coefficient map per component; N^i_kj is filled in as -N^i_jk and
+    the diagonal N^i_jj is zero.
     """
     n = a.n
+    r = range(n)
     da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
+    at = [[a[(i, j)].terms for j in r] for i in r]
+    grad = [[[da[(i, j, s)].terms for s in r] for j in r] for i in r]
+    curl = {(s, j, k): (da[(s, j, k)] - da[(s, k, j)]).terms
+            for s in r for j in r for k in range(j + 1, n)}
 
     def comp(i, j, k):
-        total = Poly.zero()
-        for s in range(n):
-            total = _add_product(total, 1, da[(i, k, s)], a[(s, j)])
-            total = _add_product(total, -1, da[(i, j, s)], a[(s, k)])
-            total = _add_product(total, 1, da[(s, j, k)] - da[(s, k, j)], a[(i, s)])
-        return total
+        return _sum_products(t for s in r for t in (
+            (1, grad[i][k][s], at[s][j]),
+            (-1, grad[i][j][s], at[s][k]),
+            (1, curl[(s, j, k)], at[i][s])))
 
     return _skew_tensor(n, comp)
 
@@ -95,23 +111,34 @@ def haantjes(a: OperatorField) -> TensorField:
     H^i_jk = N^b_jk A^i_a A^a_b + N^i_ab A^a_j A^b_k
              - A^i_a (N^a_bk A^b_j + N^a_jb A^b_k),  summed over a, b.
 
-    The sum is computed for j < k only; H^i_kj is filled in as -H^i_jk
-    and the diagonal H^i_jj is zero.  Products with a zero factor are
-    skipped.
+    Contracted form: with (A^2)^i_b = A^i_a A^a_b and
+    Q^i_jb = N^i_ab A^a_j, and since N^a_jb A^b_k = -Q^a_kj,
+
+    H^i_jk = N^b_jk (A^2)^i_b + Q^i_jb A^b_k - A^i_b (Q^b_jk - Q^b_kj),
+
+    summed over b.  A^2 (n^3 products), Q (n^4 products) and the
+    differences Q^b_jk - Q^b_kj are computed once per call, so the
+    torsion costs O(n^4) products.  The sum is computed for j < k only,
+    into one coefficient map per component; H^i_kj is filled in as
+    -H^i_jk and the diagonal H^i_jj is zero.
     """
     n = a.n
+    r = range(n)
     nij = nijenhuis(a)
+    at = [[a[(i, j)].terms for j in r] for i in r]
+    nt = [[[nij[(i, j, k)].terms for k in r] for j in r] for i in r]
+    a2 = [[_sum_products((1, at[i][s], at[s][b]) for s in r).terms for b in r]
+          for i in r]
+    q = [[[_sum_products((1, nt[i][s][b], at[s][j]) for s in r) for b in r]
+          for j in r] for i in r]
+    dq = {(b, j, k): (q[b][j][k] - q[b][k][j]).terms
+          for b in r for j in r for k in range(j + 1, n)}
 
     def comp(i, j, k):
-        total = Poly.zero()
-        for s in range(n):
-            for b in range(n):
-                total = _add_product(total, 1, nij[(b, j, k)], a[(i, s)], a[(s, b)])
-                total = _add_product(total, 1, nij[(i, s, b)], a[(s, j)], a[(b, k)])
-                inner = _add_product(Poly.zero(), 1, nij[(s, b, k)], a[(b, j)])
-                inner = _add_product(inner, 1, nij[(s, j, b)], a[(b, k)])
-                total = _add_product(total, -1, a[(i, s)], inner)
-        return total
+        return _sum_products(t for b in r for t in (
+            (1, nt[b][j][k], a2[i][b]),
+            (1, q[i][j][b].terms, at[b][k]),
+            (-1, at[i][b], dq[(b, j, k)])))
 
     return _skew_tensor(n, comp)
 

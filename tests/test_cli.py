@@ -1,8 +1,11 @@
 """Command-line front end: reports, exit codes, JSON stability."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from haantjeskit.checks import CheckResult
 from haantjeskit.cli import (UnknownSystem, UsageError, _trials_from_env,
                              cmd_hessian, cmd_system, main)
 from haantjeskit.killing import catalog
-from haantjeskit.symalg import parse_poly, var
+from haantjeskit.symalg import Poly, parse_poly, var
 
 
 def run(argv, capsys):
@@ -56,6 +59,43 @@ class TestHessianCommand:
     def test_negative_exponent_report(self):
         report = cmd_hessian("x1^2 + x2^2", 2)
         assert report.checks[0].payload["haantjes_zero"] is True
+
+
+def seeded_hessian_inputs():
+    """32 (polynomial text, n) pairs: four seeded terms of degree 2 to 4
+    in x1..xn, alternating n = 3 and n = 4."""
+    rng = random.Random(18)
+    inputs = []
+    for k in range(32):
+        n = 3 + k % 2
+        xs = [var(f"x{s + 1}") for s in range(n)]
+        f = Poly.zero()
+        for _ in range(4):
+            term = Poly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                       rng.randint(1, 4)))
+            for v in rng.choices(xs, k=rng.randint(2, 4)):
+                term = term * Poly.variable(v)
+            f = f + term
+        inputs.append((str(f), n))
+    return inputs
+
+
+class TestHessianPayloadPin:
+    # SHA-256 of the JSON of every hessian-torsion result below, without
+    # its timing: operators, conservation verdicts, every nonzero N and
+    # H component and the witness must stay byte-identical.
+    PAYLOAD_SHA256 = "ebbb71d79f4ce889f48e11f2d58f0dd61658310fc6313189c5aca3ae515655df"
+
+    def test_payloads_are_byte_identical(self):
+        objs = []
+        for text, n in seeded_hessian_inputs():
+            obj = checks.check_hessian_torsion(text, n).to_json_obj()
+            del obj["seconds"]
+            objs.append(obj)
+        # 31 of the 32 have a nonzero Haantjes torsion
+        assert sum(o["payload"]["haantjes_zero"] for o in objs) == 1
+        blob = json.dumps(objs, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PAYLOAD_SHA256
 
 
 class TestSystemCommand:

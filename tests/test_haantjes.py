@@ -105,6 +105,7 @@ def reference_haantjes(a):
 SEEDED = [(seed, n, kind) for n in (2, 3, 4)
           for kind in ("polynomial", "laurent", "parametric")
           for seed in range(2)]
+HESSIANS = [(seed, n) for n in (3, 4) for seed in range(3)]
 
 
 class TestValence:
@@ -144,8 +145,7 @@ class TestReferenceSums:
 
     # Sparse operators: most products in the sums have a zero factor
     # and are skipped.
-    @pytest.mark.parametrize("seed,n", [(seed, n) for n in (3, 4)
-                                        for seed in range(3)])
+    @pytest.mark.parametrize("seed,n", HESSIANS)
     def test_seeded_hessians(self, seed, n):
         self.assert_matches(seeded_hessian(seed, n))
 
@@ -159,6 +159,52 @@ class TestReferenceSums:
         self.assert_matches(matrix_operator([["x2*x3", "x1", "0"],
                                              ["0", "0", "0"],
                                              ["x1^2 - x3", "2*x2", "0"]]))
+
+
+class TestCanonicalOutput:
+    """The torsions build their components from raw coefficient maps,
+    so each must already be canonical: only nonzero Fraction
+    coefficients, and no terms at all where everything cancels.  `==`
+    on term maps cannot see an int coefficient or a kept zero."""
+
+    @staticmethod
+    def assert_canonical(a):
+        for t in (nijenhuis(a), haantjes(a)):
+            for idx in t.indices():
+                c = t[idx]
+                assert all(type(q) is Fraction and q for q in c.terms.values()), idx
+                assert c == Poly(dict(c.terms)), idx
+
+    @pytest.mark.parametrize("seed,n,kind", SEEDED)
+    def test_seeded_operators(self, seed, n, kind):
+        self.assert_canonical(seeded_operator(seed, n, kind))
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_catalog_families(self, name):
+        self.assert_canonical(as_operator(catalog()[name][1].tensor))
+
+    @pytest.mark.parametrize("seed,n", HESSIANS)
+    def test_seeded_hessians(self, seed, n):
+        self.assert_canonical(seeded_hessian(seed, n))
+
+    def test_cancelled_components_have_no_terms(self):
+        # On R^2 the Haantjes torsion vanishes although N does not: its
+        # sums cancel completely.
+        a = seeded_operator(0, 2, "polynomial")
+        assert sum(bool(c.terms) for c in nijenhuis(a).components) == 4
+        assert all(c.terms == {} for c in haantjes(a).components)
+
+    def test_no_intermediate_poly_products(self, monkeypatch):
+        # The torsions multiply term maps directly; a Poly product in
+        # their sums would build and canonicalize an intermediate Poly.
+        a = seeded_operator(0, 3, "parametric")
+        expected = (nijenhuis(a), haantjes(a))
+
+        def refuse(self, other):
+            raise AssertionError("Poly.__mul__ called")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        assert (nijenhuis(a), haantjes(a)) == expected
 
 
 class TestAlgebraicProperties:
