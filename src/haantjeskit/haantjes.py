@@ -7,10 +7,11 @@ covariant derivative is the component-wise partial derivative.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .symalg import Monomial, Poly, VarId
+from .symalg import Monomial, Poly, VarId, _var_key
 from .tensor import TensorField, TensorError, partial_derivative
 
 
@@ -40,16 +41,24 @@ def as_operator(k: TensorField) -> OperatorField:
     return OperatorField(TensorField(k.n, (1, 1), list(k.components)))
 
 
-Terms = Dict[Monomial, Fraction]
+# Inside the torsion kernels a monomial is one int, sum_v e_v * 2^(w*pos_v)
+# over the operator's variables in canonical order, with balanced w-bit
+# digits so that Laurent exponents need no offset, and a coefficient q is
+# the int q*D over the operator's common denominator D.  A monomial
+# product is then one int addition and a coefficient product one int
+# product.  Every kernel monomial is a product of at most four factors
+# from A and dA, so w is chosen with 2^(w-1) > 4*E for the largest
+# |exponent| E in A and dA, and no digit ever overflows.
+IntTerms = Dict[int, int]
 
 
-def _sum_products(products: Iterable[Tuple[int, Terms, Terms]]) -> Poly:
-    """The sum of sign * p * q over (sign, p, q), with p and q term
+def _sum_products(products: Iterable[Tuple[int, IntTerms, IntTerms]]) -> IntTerms:
+    """The sum of sign * p * q over (sign, p, q), with p and q int term
     maps, accumulated in one coefficient map.  A product with a factor
     that has no terms is skipped: operator fields such as Hessians are
     sparse, and most products in the torsion sums have one.  A term
     that cancels stays as a zero until the one filter at the end."""
-    acc: Terms = {}
+    acc: IntTerms = {}
     get = acc.get
     for sign, p, q in products:
         if not (p and q):
@@ -58,10 +67,92 @@ def _sum_products(products: Iterable[Tuple[int, Terms, Terms]]) -> Poly:
             if sign < 0:
                 c1 = -c1
             for m2, c2 in q.items():
-                m = m1 * m2
-                c = get(m)
-                acc[m] = c1 * c2 if c is None else c + c1 * c2
-    return Poly._raw({m: c for m, c in acc.items() if c})
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def _difference(p: IntTerms, q: IntTerms) -> IntTerms:
+    """p - q; a term that cancels is removed where it cancels."""
+    acc = dict(p)
+    for m, c in q.items():
+        d = acc.get(m, 0) - c
+        if d:
+            acc[m] = d
+        else:
+            del acc[m]
+    return acc
+
+
+def _encode(a: OperatorField):
+    """A and dA as int term maps, at[i][j] for A^i_j and grad[i][j][k]
+    for dA^i_j/dx_k, both scaled by D, and `decode(terms, p)`, the Poly
+    of an int term map scaled by D^p.  Each distinct key is decoded
+    once per call."""
+    n = a.n
+    r = range(n)
+    da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
+    polys = a.tensor.components + da.components
+    keys = [m for p in polys for m in p.terms]
+    variables = sorted({v for m in keys for v, _ in m.exps}, key=_var_key)
+    top = max((abs(e) for m in keys for _, e in m.exps), default=0)
+    width = (4 * top).bit_length() + 1
+    shift = {v: width * pos for pos, v in enumerate(variables)}
+    den = math.lcm(*(q.denominator for p in polys for q in p.terms.values()))
+
+    def encode(p: Poly) -> IntTerms:
+        return {sum(e << shift[v] for v, e in m.exps): q.numerator * (den // q.denominator)
+                for m, q in p.terms.items()}
+
+    at = [[encode(a[(i, j)]) for j in r] for i in r]
+    grad = [[[encode(da[(i, j, k)]) for k in r] for j in r] for i in r]
+
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    monomials: Dict[int, Monomial] = {}
+
+    def monomial(key: int) -> Monomial:
+        m = monomials.get(key)
+        if m is None:
+            out = []
+            rest = key
+            for v in variables:
+                if not rest:
+                    break
+                e = rest & mask
+                if e >= half:
+                    e -= mask + 1
+                if e:
+                    out.append((v, e))
+                rest = (rest - e) >> width
+            m = monomials[key] = Monomial._raw(tuple(out))
+        return m
+
+    def decode(terms: IntTerms, p: int) -> Poly:
+        scale = den ** p
+        return Poly._raw({monomial(m): Fraction(c, scale) for m, c in terms.items()})
+
+    return at, grad, decode
+
+
+def _nijenhuis(n: int, at, grad):
+    """N^i_jk scaled by D^2 as int term maps, nt[i][j][k] for every
+    (j, k): computed for j < k, -N^i_jk at (i, k, j), empty on the
+    diagonal."""
+    r = range(n)
+    curl = {(s, j, k): _difference(grad[s][j][k], grad[s][k][j])
+            for s in r for j in r for k in range(j + 1, n)}
+    nt = [[[{} for _ in r] for _ in r] for _ in r]
+    for i in r:
+        for j in r:
+            for k in range(j + 1, n):
+                value = _sum_products(t for s in r for t in (
+                    (1, grad[i][k][s], at[s][j]),
+                    (-1, grad[i][j][s], at[s][k]),
+                    (1, curl[(s, j, k)], at[i][s])))
+                nt[i][j][k] = value
+                nt[i][k][j] = {m: -c for m, c in value.items()}
+    return nt
 
 
 def _skew_tensor(n: int, comp: Callable[[int, int, int], Poly]) -> TensorField:
@@ -88,21 +179,9 @@ def nijenhuis(a: OperatorField) -> TensorField:
     coefficient map per component; N^i_kj is filled in as -N^i_jk and
     the diagonal N^i_jj is zero.
     """
-    n = a.n
-    r = range(n)
-    da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
-    at = [[a[(i, j)].terms for j in r] for i in r]
-    grad = [[[da[(i, j, s)].terms for s in r] for j in r] for i in r]
-    curl = {(s, j, k): (da[(s, j, k)] - da[(s, k, j)]).terms
-            for s in r for j in r for k in range(j + 1, n)}
-
-    def comp(i, j, k):
-        return _sum_products(t for s in r for t in (
-            (1, grad[i][k][s], at[s][j]),
-            (-1, grad[i][j][s], at[s][k]),
-            (1, curl[(s, j, k)], at[i][s])))
-
-    return _skew_tensor(n, comp)
+    at, grad, decode = _encode(a)
+    nt = _nijenhuis(a.n, at, grad)
+    return _skew_tensor(a.n, lambda i, j, k: decode(nt[i][j][k], 2))
 
 
 def haantjes(a: OperatorField) -> TensorField:
@@ -120,25 +199,24 @@ def haantjes(a: OperatorField) -> TensorField:
     differences Q^b_jk - Q^b_kj are computed once per call, so the
     torsion costs O(n^4) products.  The sum is computed for j < k only,
     into one coefficient map per component; H^i_kj is filled in as
-    -H^i_jk and the diagonal H^i_jj is zero.
+    -H^i_jk and the diagonal H^i_jj is zero.  Over the common
+    denominator D, N is scaled by D^2, A^2 by D^2, Q by D^3 and H by D^4.
     """
     n = a.n
     r = range(n)
-    nij = nijenhuis(a)
-    at = [[a[(i, j)].terms for j in r] for i in r]
-    nt = [[[nij[(i, j, k)].terms for k in r] for j in r] for i in r]
-    a2 = [[_sum_products((1, at[i][s], at[s][b]) for s in r).terms for b in r]
-          for i in r]
+    at, grad, decode = _encode(a)
+    nt = _nijenhuis(n, at, grad)
+    a2 = [[_sum_products((1, at[i][s], at[s][b]) for s in r) for b in r] for i in r]
     q = [[[_sum_products((1, nt[i][s][b], at[s][j]) for s in r) for b in r]
           for j in r] for i in r]
-    dq = {(b, j, k): (q[b][j][k] - q[b][k][j]).terms
+    dq = {(b, j, k): _difference(q[b][j][k], q[b][k][j])
           for b in r for j in r for k in range(j + 1, n)}
 
     def comp(i, j, k):
-        return _sum_products(t for b in r for t in (
+        return decode(_sum_products(t for b in r for t in (
             (1, nt[b][j][k], a2[i][b]),
-            (1, q[i][j][b].terms, at[b][k]),
-            (-1, at[i][b], dq[(b, j, k)])))
+            (1, q[i][j][b], at[b][k]),
+            (-1, at[i][b], dq[(b, j, k)]))), 4)
 
     return _skew_tensor(n, comp)
 

@@ -112,7 +112,8 @@ class Monomial:
     @classmethod
     def _merged(cls, acc: Mapping[VarId, int]) -> "Monomial":
         """Trusted constructor from a valid exponent map that may hold
-        zero exponents, such as the merge of two valid monomials."""
+        zero exponents, such as the quotient or the lcm of two valid
+        monomials."""
         return cls._raw(tuple(sorted([it for it in acc.items() if it[1]], key=_item_key)))
 
     @classmethod
@@ -131,15 +132,43 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         # Only x-exponents can be negative in either factor, so the
-        # product is valid and needs no re-validation.
-        if not other.exps:
+        # product is valid and needs no re-validation.  Both exponent
+        # tuples are sorted, so the product is their linear merge.
+        b = other.exps
+        if not b:
             return self
-        if not self.exps:
+        a = self.exps
+        if not a:
             return other
-        acc = dict(self.exps)
-        for v, e in other.exps:
-            acc[v] = acc.get(v, 0) + e
-        return Monomial._merged(acc)
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        ka, kb = _item_key(a[0]), _item_key(b[0])
+        while True:
+            if ka < kb:
+                out.append(a[i])
+                i += 1
+                if i == la:
+                    break
+                ka = _item_key(a[i])
+            elif kb < ka:
+                out.append(b[j])
+                j += 1
+                if j == lb:
+                    break
+                kb = _item_key(b[j])
+            else:
+                e = a[i][1] + b[j][1]
+                if e:
+                    out.append((a[i][0], e))
+                i += 1
+                j += 1
+                if i == la or j == lb:
+                    break
+                ka, kb = _item_key(a[i]), _item_key(b[j])
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return Monomial._raw(tuple(out))
 
     def exponent(self, v: VarId) -> int:
         for w, e in self.exps:

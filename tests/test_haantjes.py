@@ -26,8 +26,8 @@ def random_operator(rng, n):
 
 def seeded_operator(seed, n, kind):
     """Operator on R^n with at most two terms per entry: polynomial in x,
-    Laurent in x (exponents down to -1), or parametric (polynomial in x
-    and linear in b1, b2)."""
+    Laurent in x (exponents down to -1), parametric (polynomial in x
+    and linear in b1, b2), or both ("parametric-laurent")."""
     rng = random.Random(seed)
     xs = [var(f"x{s + 1}") for s in range(n)]
     bs = [var("b1"), var("b2")]
@@ -35,9 +35,9 @@ def seeded_operator(seed, n, kind):
     def entry(_):
         terms = {}
         for _ in range(rng.randint(1, 2)):
-            exps = {v: rng.randint(-1 if kind == "laurent" else 0, 2)
+            exps = {v: rng.randint(-1 if "laurent" in kind else 0, 2)
                     for v in rng.sample(xs, rng.randint(0, 2))}
-            if kind == "parametric":
+            if "parametric" in kind:
                 exps.update({b: 1 for b in rng.sample(bs, rng.randint(0, 1))})
             terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         return Poly(terms)
@@ -205,6 +205,80 @@ class TestCanonicalOutput:
 
         monkeypatch.setattr(Poly, "__mul__", refuse)
         assert (nijenhuis(a), haantjes(a)) == expected
+
+    def test_no_monomial_products(self, monkeypatch):
+        # The kernels multiply monomials as packed int keys; a Monomial
+        # product in their sums would mean they went back to Monomial
+        # keys.
+        a = seeded_operator(1, 3, "parametric-laurent")
+        expected = (nijenhuis(a), haantjes(a))
+        assert any(m.exponent(v) < 0 for c in a.tensor.components
+                   for m in c.terms for v in m.variables())
+        assert not expected[1].is_zero()
+
+        def refuse(self, other):
+            raise AssertionError("Monomial.__mul__ called")
+
+        monkeypatch.setattr(Monomial, "__mul__", refuse)
+        assert (nijenhuis(a), haantjes(a)) == expected
+
+
+class TestIntegerKernels:
+    """The kernels run on packed int monomial keys, with digits of a
+    width fixed by the largest |exponent| E in A and dA, and on int
+    coefficients over the operator's common denominator D.  Each case
+    is compared with the full defining sums."""
+
+    @staticmethod
+    def assert_matches(a):
+        TestReferenceSums.assert_matches(a)
+        TestCanonicalOutput.assert_canonical(a)
+
+    def test_high_laurent_exponents(self):
+        # E = 7 (x2^7 in A, x1^-7 in dA), so a digit holds -32..31.  H
+        # has x2^28, a four-fold product at 4E, and x1^-24.
+        a = matrix_operator([
+            ["x2", "x1^-6*x2^7", "x3"],
+            ["x1^-6*x3", "x1", "x1^-6*x2^7"],
+            ["x1^-6*x2^7", "x2^7", "x3^2"]])
+        self.assert_matches(a)
+        h = haantjes(a)
+        assert max(m.exponent(var("x2")) for c in h.components for m in c.terms) == 28
+        assert min(m.exponent(var("x1")) for c in h.components for m in c.terms) == -24
+
+    def test_exponents_beyond_a_narrower_width(self):
+        # E = 9, so a digit holds -64..63.  H has x1^36, a four-fold
+        # product that a width taken from 3E (-32..31) would overflow.
+        a = matrix_operator([
+            ["2*x2^-8", "3*x2 + 2*x2^-8*x3^-1", "2*x1^-8*x2^2"],
+            ["3*x1^9", "x1^9*x3", "3*x1^-1"],
+            ["3*x1^2*x2", "2*x3^9", "x2^9*x3^2"]])
+        self.assert_matches(a)
+        assert max(m.exponent(var("x1")) for c in haantjes(a).components
+                   for m in c.terms) == 36
+
+    def test_coprime_denominators(self):
+        # D = 7 * 9 * 11 = 693, so every coefficient of H is an int over
+        # 693^4 that must reduce.
+        self.assert_matches(matrix_operator([
+            ["1/7*x1*x2", "2/9*x3", "5/11*x1^2"],
+            ["2/9*x2^2", "5/11*x1*x3", "1/7"],
+            ["5/11*x2", "1/7*x3^2 + 2/9*x1", "2/9*x1*x2"]]))
+
+    def test_mixed_namespaces(self):
+        self.assert_matches(matrix_operator([
+            ["b1*x1 + p1", "b2*x2^2", "p2*x3"],
+            ["x1^-1*b1^2", "p1*b1*x3", "x2"],
+            ["b2*p2", "x1*x2*b1", "x3^-2*p1 + b2"]]))
+
+    @pytest.mark.parametrize("rows", [
+        [["0", "0"], ["0", "0"]],
+        [["1", "2/3", "0"], ["5", "7", "-1/2"], ["0", "3", "1"]]])
+    def test_no_variables(self, rows):
+        # E = 0 and no variable to encode: both torsions are zero.
+        a = matrix_operator(rows)
+        self.assert_matches(a)
+        assert nijenhuis(a).is_zero() and haantjes(a).is_zero()
 
 
 class TestAlgebraicProperties:

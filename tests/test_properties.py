@@ -1,6 +1,6 @@
-"""Property tests of the polynomial layer (skipped without hypothesis):
-ring axioms on small random Laurent polynomials and the
-str -> parse_poly round trip."""
+"""Property tests (skipped without hypothesis): ring axioms on small
+random Laurent polynomials, the str -> parse_poly round trip, and the
+torsion kernels against the full defining sums."""
 
 from fractions import Fraction
 
@@ -10,7 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from haantjeskit.haantjes import OperatorField, haantjes, nijenhuis  # noqa: E402
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var  # noqa: E402
+from haantjeskit.tensor import TensorField  # noqa: E402
+
+from .test_haantjes import reference_haantjes, reference_nijenhuis  # noqa: E402
 
 VARS = [var(s) for s in ("x1", "x2", "p1", "b1", "a0")]
 
@@ -55,3 +59,22 @@ def test_round_trip_of_a_fractional_laurent_poly():
     f = Poly({Monomial({VARS[0]: -2, VARS[2]: 1}): Fraction(-3, 2),
               Monomial.one(): Fraction(1, 3)})
     assert parse_poly(str(f)) == f
+
+
+def operators(n):
+    """Operators on R^n with at most two terms per entry, x-exponents
+    -3..3, b-exponents 0..2 and denominators up to 6."""
+    variables = [var(f"x{s + 1}") for s in range(n)] + [var("b1"), var("b2")]
+    entry_monomials = st.fixed_dictionaries(
+        {}, optional={v: st.integers(-3, 3) if v.ns == "x" else st.integers(0, 2)
+                      for v in variables}).map(Monomial)
+    entries = st.dictionaries(entry_monomials, coefficients, max_size=2).map(Poly)
+    return st.lists(entries, min_size=n * n, max_size=n * n).map(
+        lambda cs: OperatorField(TensorField(n, (1, 1), cs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(operators))
+def test_torsions_match_the_defining_sums(a):
+    assert nijenhuis(a) == reference_nijenhuis(a)
+    assert haantjes(a) == reference_haantjes(a)

@@ -306,6 +306,35 @@ class TestCanonicalResults:
         assert parse_poly("x1^-1*b1").diff(x1).terms == parse_poly("-1*x1^-2*b1").terms
         assert parse_poly("x1^-2").integrate(x1) == parse_poly("-1*x1^-1")
 
+    def test_monomial_product_is_the_dict_and_sort_product(self):
+        # The product merges the two sorted exponent tuples; the
+        # reference adds exponents in a map and sorts the nonzero ones.
+        every_ns = [var(s) for s in ("x1", "x2", "x3", "p1", "p2", "b1",
+                                     "b3", "a0", "a2", "c0", "c1", "t1")]
+
+        def reference(m1, m2):
+            acc = dict(m1.exps)
+            for v, e in m2.exps:
+                acc[v] = acc.get(v, 0) + e
+            return Monomial(acc).exps
+
+        def draw(rng):
+            return Monomial({v: rng.randint(-3 if v.ns == "x" else 0, 3)
+                             for v in rng.sample(every_ns, rng.randint(0, 6))})
+
+        rng = random.Random(19)
+        for _ in range(500):
+            m1, m2 = draw(rng), draw(rng)
+            assert (m1 * m2).exps == reference(m1, m2)
+            # x-exponents cancel where the factor is an x-part inverse
+            inverse = Monomial({v: -e for v, e in m1.exps if v.ns == "x"})
+            assert (m1 * inverse).exps == reference(m1, inverse)
+            assert (inverse * m1).exps == reference(m1, inverse)
+        x_only = Monomial({var("x1"): -2, var("x2"): 3, var("x3"): 1})
+        inverse = Monomial({v: -e for v, e in x_only.exps})
+        assert (x_only * inverse).exps == () and x_only * inverse == Monomial.one()
+        assert (inverse * x_only).exps == ()
+
     def test_public_constructor_errors_unchanged(self):
         b1 = var("b1")
         with pytest.raises(ValueError):
