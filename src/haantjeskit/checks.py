@@ -502,7 +502,7 @@ def check_nonmaximal_mechanics(seed: int = 0, trials: int = 10) -> CheckResult:
     commute = {label: poisson(h, f).poly.is_zero()
                for label, f in integrals.items()}
     fs = [h] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
-    rank = functional_independence(fs, trials=max(trials, 10), seed=seed)
+    rank = functional_independence(fs, trials=trials, seed=seed)
     # the family's torsion vanishes exactly when its ideal has no generator
     family_zero = not system_ideal("nonmaximal-3d").generators
     ok = (all(goldens.values()) and all(commute.values())
@@ -673,8 +673,7 @@ SYSTEM_ACTIONS = ("family", "ideal", "radical-check", "dimension",
                   "linear-subspace", "branches", "mechanics")
 
 
-def _action_family(name: str, radical: Optional[str], seed: int,
-                   trials: Optional[int]) -> CheckResult:
+def _action_family(name: str, radical: Optional[str], seed: int) -> CheckResult:
     fam = compatible_family(catalog()[name][0])
     return CheckResult(
         name=f"{name}-compatible-family", verdict="evidence-only",
@@ -683,8 +682,7 @@ def _action_family(name: str, radical: Optional[str], seed: int,
                  "matrix": [[str(c) for c in row] for row in fam.tensor.matrix()]})
 
 
-def _action_ideal(name: str, radical: Optional[str], seed: int,
-                  trials: Optional[int]) -> CheckResult:
+def _action_ideal(name: str, radical: Optional[str], seed: int) -> CheckResult:
     ideal = system_ideal(name)
     return CheckResult(
         name=f"{name}-haantjes-zero-ideal", verdict="evidence-only",
@@ -692,8 +690,7 @@ def _action_ideal(name: str, radical: Optional[str], seed: int,
         payload={"generators": [str(g) for g in ideal.generators]})
 
 
-def _action_radical(name: str, radical: Optional[str], seed: int,
-                    trials: Optional[int]) -> CheckResult:
+def _action_radical(name: str, radical: Optional[str], seed: int) -> CheckResult:
     if radical is None:
         return CheckResult(
             name=f"{name}-radical-generator", verdict="evidence-only",
@@ -706,8 +703,7 @@ def _action_radical(name: str, radical: Optional[str], seed: int,
         payload=payload)
 
 
-def _action_dimension(name: str, radical: Optional[str], seed: int,
-                      trials: Optional[int]) -> CheckResult:
+def _action_dimension(name: str, radical: Optional[str], seed: int) -> CheckResult:
     if radical is None:
         return CheckResult(
             name=f"{name}-hilbert-dimension", verdict="evidence-only",
@@ -720,8 +716,7 @@ def _action_dimension(name: str, radical: Optional[str], seed: int,
         payload={"dimension": dim})
 
 
-def _action_linear(name: str, radical: Optional[str], seed: int,
-                   trials: Optional[int]) -> CheckResult:
+def _action_linear(name: str, radical: Optional[str], seed: int) -> CheckResult:
     if radical is None:
         return CheckResult(
             name=f"{name}-no-linear-subspace", verdict="evidence-only",
@@ -734,16 +729,14 @@ def _action_linear(name: str, radical: Optional[str], seed: int,
         payload={"linear_factors": factors})
 
 
-def _action_mechanics(name: str, radical: Optional[str], seed: int,
-                      trials: Optional[int]) -> CheckResult:
+def _action_mechanics(name: str, radical: Optional[str], seed: int) -> CheckResult:
     pot, fam = catalog()[name]
     coeffs = {r: Poly.variable(var(f"a{r}"))
               for r in range(len(pot.generators))}
     h = hamiltonian(pot, coeffs)
     integrals = [build_integral(k, pot, coeffs) for k in fam.basis()]
     commute = [poisson(h, f).poly.is_zero() for f in integrals]
-    rank = functional_independence([h] + integrals, trials=trials or 10,
-                                   seed=seed)
+    rank = functional_independence([h] + integrals, seed=seed)
     return CheckResult(
         name=f"{name}-mechanics", verdict=_verdict(all(commute)),
         detail="all family integrals Poisson-commute with the Hamiltonian",
@@ -779,13 +772,13 @@ def system_actions(name: str, actions: Sequence[str]) -> List[str]:
     return list(actions) or offered
 
 
-def run_system(name: str, actions: Sequence[str], seed: int = 0,
-               trials: Optional[int] = None) -> List[CheckResult]:
+def run_system(name: str, actions: Sequence[str],
+               seed: int = 0) -> List[CheckResult]:
     """Run actions of a catalog system, as returned by system_actions,
     in the given order."""
     radical, overrides = SYSTEMS[name]
-    return [run_named(overrides[action], seed, trials) if action in overrides
-            else run_check(_GENERIC_ACTIONS[action], name, radical, seed, trials)
+    return [run_named(overrides[action], seed) if action in overrides
+            else run_check(_GENERIC_ACTIONS[action], name, radical, seed)
             for action in actions]
 
 
@@ -819,23 +812,15 @@ SYSTEM_CHECKS: List[Tuple[str, Callable[..., CheckResult]]] = [
 _SEEDED = {"oscillator-all-haantjes-zero", "nonmaximal-radial-mechanics",
            "abundant-haantjes-formula", "torsion-property-suite",
            "poisson-jacobi-identity"}
-_TRIALED = {"nonmaximal-radial-mechanics": "trials",
-            "torsion-property-suite": "count",
-            "poisson-jacobi-identity": "count"}
 
 
-def run_named(name: str, seed: int = 0,
-              trials: Optional[int] = None) -> CheckResult:
-    """Run the check registered under `name`; `trials` overrides the
-    number of sample points / random cases where the check draws them."""
-    kwargs: Dict[str, object] = {}
-    if name in _SEEDED:
-        kwargs["seed"] = seed
-    if trials is not None and name in _TRIALED:
-        kwargs[_TRIALED[name]] = trials
+def run_named(name: str, seed: int = 0) -> CheckResult:
+    """Run the check registered under `name`, with `seed` if it draws
+    random cases."""
+    kwargs = {"seed": seed} if name in _SEEDED else {}
     return run_check(dict(ALL_CHECKS + SYSTEM_CHECKS)[name], **kwargs)
 
 
-def run_all(seed: int = 0, trials: Optional[int] = None) -> List[CheckResult]:
+def run_all(seed: int = 0) -> List[CheckResult]:
     """Run every check of ALL_CHECKS in fixed order."""
-    return [run_named(name, seed, trials) for name, _ in ALL_CHECKS]
+    return [run_named(name, seed) for name, _ in ALL_CHECKS]

@@ -7,21 +7,16 @@ computations (the README lists the catalog systems and their actions):
   haantjeskit system --system NAME ideal dimension
   haantjeskit reproduce --seed 7 --json
 
-The environment variable HAANTJES_TRIALS overrides the number of
-random cases of the `mechanics` action's functional rank (at least 10
-in nonmaximal-radial-mechanics), torsion-property-suite and
-poisson-jacobi-identity; the other seeded checks draw a fixed number.
-Exit status is 0 exactly
-when no check in the report fails ("evidence-only" verdicts do not
-fail the run), 1 when one fails, and 2 for a malformed command line,
-reported as one "error:" line on standard error.
+Exit status is 0 exactly when no check in the report fails
+("evidence-only" verdicts do not fail the run), 1 when one fails, and
+2 for a malformed command line, reported as one "error:" line on
+standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -29,11 +24,6 @@ from . import __version__, checks
 from .checks import CheckResult, UnknownSystem
 from .symalg import ParseError
 from .tensor import TensorError
-
-
-class UsageError(Exception):
-    """A malformed setting outside the argument list, such as
-    HAANTJES_TRIALS."""
 
 
 class Report:
@@ -78,19 +68,17 @@ def cmd_hessian(poly_text: str, n: int) -> Report:
     return _report(f"hessian --poly {poly_text!r} --dim {n}", [result])
 
 
-def cmd_system(name: str, actions: Sequence[str], seed: int = 0,
-               trials: Optional[int] = None) -> Report:
+def cmd_system(name: str, actions: Sequence[str], seed: int = 0) -> Report:
     """Run the selected analysis pipelines for a catalog system; all
     actions are validated before any runs."""
     actions = checks.system_actions(name, actions)
     return _report(f"system --system {name} {' '.join(actions)}",
-                   checks.run_system(name, actions, seed=seed, trials=trials))
+                   checks.run_system(name, actions, seed=seed))
 
 
-def cmd_reproduce(seed: int = 0, trials: Optional[int] = None) -> Report:
+def cmd_reproduce(seed: int = 0) -> Report:
     """Run the complete verification suite in fixed order."""
-    return _report(f"reproduce --seed {seed}",
-                   checks.run_all(seed=seed, trials=trials))
+    return _report(f"reproduce --seed {seed}", checks.run_all(seed=seed))
 
 
 # ---- entry point ------------------------------------------------------
@@ -127,31 +115,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trials_from_env() -> Optional[int]:
-    raw = os.environ.get("HAANTJES_TRIALS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"HAANTJES_TRIALS must be an integer, got {raw!r}")
-    if value <= 0:
-        raise UsageError("HAANTJES_TRIALS must be positive")
-    return value
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        trials = _trials_from_env()
         if args.subcommand == "hessian":
             report = cmd_hessian(args.poly, args.dim)
         elif args.subcommand == "system":
-            report = cmd_system(args.system, args.actions, seed=args.seed,
-                                trials=trials)
+            report = cmd_system(args.system, args.actions, seed=args.seed)
         else:
-            report = cmd_reproduce(seed=args.seed, trials=trials)
-    except (ParseError, TensorError, UnknownSystem, UsageError) as exc:
+            report = cmd_reproduce(seed=args.seed)
+    except (ParseError, TensorError, UnknownSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.json else report.render_text())

@@ -62,9 +62,18 @@ def var(name: str) -> VarId:
     m = re.fullmatch(r"([a-z])(\d+)", name)
     if not m:
         raise ParseError(f"malformed variable name {name!r}")
-    v = VarId(m.group(1), int(m.group(2)))
+    v = VarId(m.group(1), _digits(m.group(2)))
     _check_var(v)
     return v
+
+
+def _digits(numeral: str) -> int:
+    """The int of a decimal numeral; one longer than Python converts
+    (sys.get_int_max_str_digits()) is a ParseError."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise ParseError(f"numeral of {len(numeral)} digits is too long") from None
 
 
 def _check_var(v: VarId) -> None:
@@ -550,8 +559,9 @@ def parse_poly(text: str) -> Poly:
             if kind == "op" and val in "+-" and not expect_factor:
                 break
             if kind == "num":
+                num, _, den = val.partition("/")
                 try:
-                    coeff *= Fraction(val)
+                    coeff *= Fraction(_digits(num), _digits(den or "1"))
                 except ZeroDivisionError:
                     raise ParseError(f"zero denominator in {val}") from None
                 i += 1
@@ -567,7 +577,7 @@ def parse_poly(text: str) -> Poly:
                         i += 1
                     if i >= n or toks[i][0] != "num" or "/" in toks[i][1]:
                         raise ParseError(f"malformed exponent after {val}")
-                    e = int(toks[i][1])
+                    e = _digits(toks[i][1])
                     if neg and e == 0:
                         raise ParseError("exponent -0 is not allowed")
                     if neg:

@@ -50,10 +50,10 @@ class TensorField:
         return cls(n, valence, [f(idx) for idx in itertools.product(range(n), repeat=r + s)])
 
     @classmethod
-    def from_matrix(cls, rows: Sequence[Sequence[Poly]], valence: Tuple[int, int] = (0, 2)) -> "TensorField":
-        n = len(rows)
+    def from_matrix(cls, rows: Sequence[Sequence[Poly]]) -> "TensorField":
+        """The (0,2) tensor with the given component rows."""
         flat = [Poly._coerce(x) for row in rows for x in row]
-        return cls(n, valence, flat)
+        return cls(len(rows), (0, 2), flat)
 
     # ---- indexing ------------------------------------------------------
 

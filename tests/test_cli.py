@@ -13,10 +13,11 @@ import pytest
 import haantjeskit
 from haantjeskit import checks
 from haantjeskit.checks import CheckResult
-from haantjeskit.cli import (UnknownSystem, UsageError, _trials_from_env,
-                             cmd_hessian, cmd_system, main)
+from haantjeskit.cli import UnknownSystem, cmd_hessian, cmd_system, main
 from haantjeskit.killing import catalog
 from haantjeskit.symalg import Poly, parse_poly, var
+
+from .test_symalg import INT_DIGIT_LIMIT
 
 
 def run(argv, capsys):
@@ -48,6 +49,11 @@ class TestHessianCommand:
         ["--poly", "x1^-2"],
         ["--poly", "1/0"],
         ["--poly", "x5^3", "--dim", "2"],
+        # a numeral longer than Python converts to an int
+        *(pytest.param(["--poly", template.format("1" * (INT_DIGIT_LIMIT + 1))],
+                       marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                                reason="no int-string digit limit"))
+          for template in ("{}*x1^3", "x1^{}", "x{}")),
     ])
     def test_malformed_input_exits_2(self, args, capsys):
         assert main(["hessian"] + args) == 2
@@ -161,45 +167,16 @@ class TestSystemTable:
             assert set(overrides.values()) <= set(registered)
 
 
-class TestTrialsEnv:
-    def test_unset(self, monkeypatch):
-        monkeypatch.delenv("HAANTJES_TRIALS", raising=False)
-        assert _trials_from_env() is None
-
-    def test_valid(self, monkeypatch):
-        monkeypatch.setenv("HAANTJES_TRIALS", "7")
-        assert _trials_from_env() == 7
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("HAANTJES_TRIALS", "many")
-        with pytest.raises(UsageError):
-            _trials_from_env()
-
-    def test_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("HAANTJES_TRIALS", "0")
-        with pytest.raises(UsageError):
-            _trials_from_env()
-
-    @pytest.mark.parametrize("value", ["many", "0"])
-    def test_malformed_value_exits_2(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("HAANTJES_TRIALS", value)
-        assert main(["system", "--system", "oo", "dimension"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: HAANTJES_TRIALS")
-        assert captured.err.count("\n") == 1
-
-
 class TestReproduce:
-    def test_full_suite(self, monkeypatch, capsys):
-        monkeypatch.setenv("HAANTJES_TRIALS", "3")
+    def test_full_suite(self, capsys):
         code, out = run(["reproduce", "--json"], capsys)
         obj = json.loads(out)
         # Byte-stable JSON.
         assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == out
-        # The trial override reaches the randomized suites.
+        # The randomized suites run their default number of cases.
         by_name = {c["name"]: c for c in obj["checks"]}
-        assert by_name["torsion-property-suite"]["payload"]["planar_samples"] == 3
+        assert by_name["torsion-property-suite"]["payload"]["planar_samples"] == 50
+        assert by_name["poisson-jacobi-identity"]["payload"]["triples"] == 50
         # Two reference claims from the source are not reproducible and
         # are reported as honest failures; everything else passes.
         fails = sorted(n for n, c in by_name.items() if c["verdict"] == "fail")

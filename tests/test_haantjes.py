@@ -62,8 +62,8 @@ def seeded_hessian(seed, n):
 
 
 def matrix_operator(rows):
-    return OperatorField(TensorField.from_matrix(
-        [[parse_poly(c) for c in row] for row in rows], valence=(1, 1)))
+    return as_operator(TensorField.from_matrix(
+        [[parse_poly(c) for c in row] for row in rows]))
 
 
 def reference_nijenhuis(a):
@@ -447,7 +447,7 @@ class TestConservation:
                 assert res[(i, j)] == -res[(j, i)]
 
     def test_generic_operator_not_conserved(self):
-        a = OperatorField(TensorField.from_matrix(
+        a = as_operator(TensorField.from_matrix(
             [[parse_poly("x2"), parse_poly("0")],
-             [parse_poly("0"), parse_poly("0")]], valence=(1, 1)))
+             [parse_poly("0"), parse_poly("0")]]))
         assert not conservation_check(a, parse_poly("x1")).is_zero()

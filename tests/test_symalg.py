@@ -1,6 +1,7 @@
 """Laurent-polynomial arithmetic, parsing and calculus."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ def random_poly(rng, variables, max_terms=4, max_degree=4):
 VARS = [var(s) for s in ("x1", "x2", "x3", "b1", "b2", "p1")]
 LAURENT_VARS = [var(s) for s in ("x1", "x2", "p1", "p2", "b1", "b2", "a0", "a1")]
 LAURENT_XB = [var(s) for s in ("x1", "x2", "x3", "b1", "b2")]
+# Python's limit on the digits of an int-string conversion (0: none).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def random_laurent(rng, max_terms=5):
@@ -140,6 +143,12 @@ class TestParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("x1 $ x2")
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int-string digit limit")
+    @pytest.mark.parametrize("template", ["{}*x1^3", "x1^{}", "x{}", "1/{}"])
+    def test_overlong_numeral_rejected(self, template):
+        with pytest.raises(ParseError):
+            parse_poly(template.format("1" * (INT_DIGIT_LIMIT + 1)))
 
     def test_whitespace_ignored(self):
         assert parse_poly(" x1 + 2 * x2 ") == parse_poly("x1+2*x2")
