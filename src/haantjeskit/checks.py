@@ -19,15 +19,14 @@ import functools
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .haantjes import (OperatorField, as_operator, conservation_check,
                        haantjes, is_haantjes_zero, nijenhuis)
-from .ideals import (Ideal, MonomialOrder, default_order,
-                     haantjes_zero_ideal, hilbert_dimension, ideal_equal,
-                     linear_factor, member, normal_form, radical_member,
-                     s_polynomial)
+from .ideals import (Ideal, haantjes_zero_ideal, hilbert_dimension,
+                     ideal_equal, linear_factor, member, normal_form,
+                     radical_member, s_polynomial)
 from .killing import (catalog, compatible_family, killing_residual,
                       killing_space, span_equal)
 from .mechanics import (PhaseFunction, abundant_haantjes, build_integral,
@@ -48,11 +47,6 @@ J_TEXT = "b2*b4*b5 - b3*b4*b5 - b1*b4*b6 + b3*b4*b6 + b1*b5*b6 - b2*b5*b6"
 # ideal of the six-parameter radial family.
 SW1_IDEAL_COFACTORS = ["b4", "b5 + b6", "b3 - b2", "b1 - b2", "b6"]
 
-# Radical generators of the Haantjes-zero ideals of the OO and IV
-# families of constants of motion.
-OO_RADICAL_TEXT = "b1*b4*b6 - b2*b4*b6 - b4^2*b5 + b5*b6^2"
-IV_RADICAL_TEXT = "b1*b4*b5 - b2*b4*b5 + b4^2*b6 - b1*b5*b6 + b3*b5*b6 - b4*b6^2"
-
 # One entry per catalog system: the generator of the radical of its
 # Haantjes-zero ideal (None where that ideal is zero) and the named
 # checks that replace a generic system action for it.
@@ -64,8 +58,8 @@ SYSTEMS: Dict[str, Tuple[Optional[str], Dict[str, str]]] = {
                      "branches": "sw1-branch-substitutions"}),
     "oscillator": (None, {"family": "oscillator-all-haantjes-zero",
                           "ideal": "oscillator-haantjes-zero-ideal"}),
-    "oo": (OO_RADICAL_TEXT, {}),
-    "iv": (IV_RADICAL_TEXT, {}),
+    "oo": ("b1*b4*b6 - b2*b4*b6 - b4^2*b5 + b5*b6^2", {}),
+    "iv": ("b1*b4*b5 - b2*b4*b5 + b4^2*b6 - b1*b5*b6 + b3*b5*b6 - b4*b6^2", {}),
     "nonmaximal-3d": (None, {"mechanics": "nonmaximal-radial-mechanics"}),
 }
 
@@ -77,6 +71,30 @@ def system_ideal(name: str) -> Ideal:
     computed once too.  Every check shares the object: do not modify
     it."""
     return haantjes_zero_ideal(catalog()[name][1])
+
+
+class Radical(NamedTuple):
+    """What is certified about the radical generator g of a catalog
+    system's Haantjes-zero ideal I, named as in the radical-check payload."""
+    generators_divisible: bool  # g divides every generator of I
+    generator_in_ideal: bool
+    generator_in_radical: bool
+    hilbert_dimension: int  # of <g>
+    linear_factors: Tuple[str, ...]  # of g, printed
+
+
+@functools.cache
+def system_radical(name: str) -> Radical:
+    """The Radical record of a catalog system with a nonzero ideal,
+    computed once per process.  Every check shares the record: do not
+    modify it."""
+    ideal = system_ideal(name)
+    g = parse_poly(SYSTEMS[name][0])
+    principal = Ideal([g], ideal.order)
+    return Radical(all(member(f, principal) for f in ideal.generators),
+                   member(g, ideal), radical_member(g, ideal),
+                   hilbert_dimension(principal),
+                   tuple(str(f) for f in linear_factor(g)))
 
 
 # Solution branches of {J = 0}: each entry substitutes parameters and
@@ -160,19 +178,14 @@ def run_check(fn: Callable[..., CheckResult], *args, **kwargs) -> CheckResult:
     return result
 
 
-def _family_order(name: str) -> MonomialOrder:
-    """Order on a catalog system's parameter ring: the order
-    `haantjes_zero_ideal` uses for that system's family."""
-    return default_order(sorted(catalog()[name][1].params))
-
-
 def _b_binding(values) -> Dict[VarId, Fraction]:
     return {var(f"b{i + 1}"): Fraction(v) for i, v in enumerate(values)}
 
 
 def sw1_reference_ideal() -> Ideal:
     j = parse_poly(J_TEXT)
-    return Ideal([parse_poly(s) * j for s in SW1_IDEAL_COFACTORS], _family_order("sw1"))
+    return Ideal([parse_poly(s) * j for s in SW1_IDEAL_COFACTORS],
+                 system_ideal("sw1").order)
 
 
 # ---- Hessian operator fields ------------------------------------------
@@ -289,53 +302,45 @@ def check_sw1_family() -> CheckResult:
 
 
 def check_sw1_ideal() -> CheckResult:
-    computed = system_ideal("sw1")
-    j = parse_poly(J_TEXT)
-    reference = sw1_reference_ideal()
-    principal = Ideal([j], _family_order("sw1"))
-    equal = ideal_equal(computed, reference)
-    divisible = all(member(g, principal) for g in computed.generators)
-    j_member = member(j, computed)
-    j_radical = radical_member(j, computed)
-    dim = hilbert_dimension(principal)
-    ok = equal and divisible and (not j_member) and j_radical and dim == 5
+    equal = ideal_equal(system_ideal("sw1"), sw1_reference_ideal())
+    r = system_radical("sw1")
+    ok = (equal and r.generators_divisible and not r.generator_in_ideal
+          and r.generator_in_radical and r.hilbert_dimension == 5)
     return CheckResult(
         name="sw1-haantjes-zero-ideal",
         verdict=_verdict(ok),
         detail="ideal matches the five-generator reference; radical <J>, dim 5",
-        payload={"ideal_equal": equal, "generators_divisible_by_J": divisible,
-                 "J_in_ideal": j_member, "J_in_radical": j_radical,
-                 "hilbert_dimension": dim},
+        payload={"ideal_equal": equal,
+                 "generators_divisible_by_J": r.generators_divisible,
+                 "J_in_ideal": r.generator_in_ideal,
+                 "J_in_radical": r.generator_in_radical,
+                 "hilbert_dimension": r.hilbert_dimension},
     )
 
 
 def check_sw1_radical_generator() -> CheckResult:
     """J lies in the radical of the Haantjes-zero ideal but not in the
     ideal itself."""
-    ideal = system_ideal("sw1")
-    j = parse_poly(J_TEXT)
-    payload = {"radical_generator": J_TEXT,
-               "J_in_ideal": member(j, ideal),
-               "J_in_radical": radical_member(j, ideal)}
-    ok = payload["J_in_radical"] and not payload["J_in_ideal"]
+    r = system_radical("sw1")
     return CheckResult(
-        name="sw1-radical-generator", verdict=_verdict(ok),
+        name="sw1-radical-generator",
+        verdict=_verdict(r.generator_in_radical and not r.generator_in_ideal),
         detail="radical of the Haantjes-zero ideal is principal, <J>",
-        payload=payload)
+        payload={"radical_generator": J_TEXT, "J_in_ideal": r.generator_in_ideal,
+                 "J_in_radical": r.generator_in_radical})
 
 
 def check_sw1_radical_primality() -> CheckResult:
     """Primality of <J> is reported as supporting evidence only: the
     toolkit certifies the dimension and the absence of linear factors
     but implements no primality test."""
-    j = parse_poly(J_TEXT)
-    dim = hilbert_dimension(Ideal([j], _family_order("sw1")))
-    factors = [str(f) for f in linear_factor(j)]
+    r = system_radical("sw1")
     return CheckResult(
         name="sw1-radical-primality",
         verdict="evidence-only",
         detail="dim 5 and no linear factor support (but do not certify) primality of <J>",
-        payload={"hilbert_dimension": dim, "linear_factors": factors},
+        payload={"hilbert_dimension": r.hilbert_dimension,
+                 "linear_factors": list(r.linear_factors)},
     )
 
 
@@ -403,11 +408,10 @@ def check_sw1_branches() -> CheckResult:
 
 
 def check_sw1_linear_subspace() -> CheckResult:
-    factors = [str(f) for f in linear_factor(parse_poly(J_TEXT))]
-    ok = factors == []
+    factors = list(system_radical("sw1").linear_factors)
     return CheckResult(
         name="sw1-no-linear-subspace",
-        verdict=_verdict(ok),
+        verdict=_verdict(factors == []),
         detail="J has no linear factor: no 5-dim linear subspace inside {J = 0}",
         payload={"linear_factors": factors},
     )
@@ -450,31 +454,20 @@ def check_oscillator_ideal() -> CheckResult:
         payload={"generators": [str(g) for g in ideal.generators]})
 
 
-def _radical_protocol(name: str, radical_text: str) -> Tuple[bool, Dict[str, object]]:
-    computed = system_ideal(name)
-    g = parse_poly(radical_text)
-    principal = Ideal([g], _family_order(name))
-    divisible = all(member(f, principal) for f in computed.generators)
-    g_member = member(g, computed)
-    g_radical = radical_member(g, computed)
-    dim = hilbert_dimension(principal)
-    factors = [str(f) for f in linear_factor(g)]
-    ok = divisible and g_radical and dim == 5 and factors == []
-    return ok, {"generators_divisible": divisible, "generator_in_ideal": g_member,
-                "generator_in_radical": g_radical, "hilbert_dimension": dim,
-                "linear_factors": factors}
+def _radical_protocol(name: str) -> Tuple[bool, Dict[str, object]]:
+    r = system_radical(name)
+    ok = (r.generators_divisible and r.generator_in_radical
+          and r.hilbert_dimension == 5 and not r.linear_factors)
+    # a fresh payload; factors as a list, as the text report prints them
+    return ok, dict(r._asdict(), linear_factors=list(r.linear_factors))
 
 
 def check_oo_iv_radicals() -> CheckResult:
-    ok_oo, oo = _radical_protocol("oo", OO_RADICAL_TEXT)
-    ok_iv, iv = _radical_protocol("iv", IV_RADICAL_TEXT)
-    ok = ok_oo and ok_iv
+    (ok_oo, oo), (ok_iv, iv) = _radical_protocol("oo"), _radical_protocol("iv")
     return CheckResult(
-        name="oo-iv-radical-generators",
-        verdict=_verdict(ok),
+        name="oo-iv-radical-generators", verdict=_verdict(ok_oo and ok_iv),
         detail="OO/IV ideals have the documented principal radicals, dim 5",
-        payload={"oo": oo, "iv": iv},
-    )
+        payload={"oo": oo, "iv": iv})
 
 
 # ---- the non-maximal radial system ------------------------------------
@@ -695,7 +688,7 @@ def _action_radical(name: str, radical: Optional[str], seed: int) -> CheckResult
         return CheckResult(
             name=f"{name}-radical-generator", verdict="evidence-only",
             detail="zero ideal: radical is trivially zero", payload={})
-    ok, payload = _radical_protocol(name, radical)
+    ok, payload = _radical_protocol(name)
     payload["radical_generator"] = radical
     return CheckResult(
         name=f"{name}-radical-generator", verdict=_verdict(ok),
@@ -709,7 +702,7 @@ def _action_dimension(name: str, radical: Optional[str], seed: int) -> CheckResu
             name=f"{name}-hilbert-dimension", verdict="evidence-only",
             detail="zero ideal: the full parameter space (dimension 6)",
             payload={"dimension": 6})
-    dim = hilbert_dimension(Ideal([parse_poly(radical)], _family_order(name)))
+    dim = system_radical(name).hilbert_dimension
     return CheckResult(
         name=f"{name}-hilbert-dimension", verdict=_verdict(dim == 5),
         detail="Hilbert dimension of the radical Haantjes-zero ideal",
@@ -722,7 +715,7 @@ def _action_linear(name: str, radical: Optional[str], seed: int) -> CheckResult:
             name=f"{name}-no-linear-subspace", verdict="evidence-only",
             detail="zero ideal: every linear subspace is Haantjes-zero",
             payload={})
-    factors = [str(f) for f in linear_factor(parse_poly(radical))]
+    factors = list(system_radical(name).linear_factors)
     return CheckResult(
         name=f"{name}-no-linear-subspace", verdict=_verdict(factors == []),
         detail="radical generator has no linear factor",

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__, checks
 from .checks import CheckResult, UnknownSystem
-from .symalg import ParseError
+from .symalg import ParseError, PrintError
 from .tensor import TensorError
 
 
@@ -124,7 +124,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_system(args.system, args.actions, seed=args.seed)
         else:
             report = cmd_reproduce(seed=args.seed)
-    except (ParseError, TensorError, UnknownSystem) as exc:
+    except (ParseError, PrintError, TensorError, UnknownSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.json else report.render_text())

@@ -17,7 +17,7 @@ from . import linalg
 from .symalg import Poly, VarId
 from .tensor import TensorError, TensorField, partial_derivative
 from .killing import KillingFamily, PotentialSpec
-from .haantjes import as_operator, conservation_check, haantjes
+from .haantjes import as_operator, conservation_check, haantjes, pullback_differential
 
 
 class MechanicsError(Exception):
@@ -104,8 +104,7 @@ def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, obje
     v = potential_from_coefficients(pot, coeffs)
     if not conservation_check(a, v).is_zero():
         raise NotCompatible("d(K*dV) != 0: the tensor is not compatible with this potential")
-    grads = [v.diff(_x(i + 1)) for i in range(n)]
-    omega = [sum((k[(s, i)] * grads[s] for s in range(n)), Poly.zero()) for i in range(n)]
+    omega = pullback_differential(a, v).components
     w = Poly.zero()
     for i in range(n):
         w = w + (omega[i] - w.diff(_x(i + 1))).integrate(_x(i + 1))

@@ -40,6 +40,10 @@ class ParseError(SymalgError):
     """Raised when polynomial text does not conform to the grammar."""
 
 
+class PrintError(SymalgError):
+    """Raised when a number has more digits than Python prints."""
+
+
 class NonInvertibleSubstitution(SymalgError):
     """Raised when a variable with a negative exponent is bound to a
     replacement that is not an invertible (single-term) monomial."""
@@ -454,19 +458,22 @@ class Poly:
             return "0"
         items = sorted(self.terms.items(), key=lambda it: it[0].sort_key())
         chunks = []
-        for i, (m, q) in enumerate(items):
-            sign = "-" if q < 0 else "+"
-            mag = abs(q)
-            if not m.exps:
-                body = str(mag)
-            elif mag == 1:
-                body = str(m)
-            else:
-                body = f"{mag}*{m}"
-            if i == 0:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
+        try:
+            for i, (m, q) in enumerate(items):
+                sign = "-" if q < 0 else "+"
+                mag = abs(q)
+                if not m.exps:
+                    body = str(mag)
+                elif mag == 1:
+                    body = str(m)
+                else:
+                    body = f"{mag}*{m}"
+                if i == 0:
+                    chunks.append(body if sign == "+" else f"-{body}")
+                else:
+                    chunks.append(f" {sign} {body}")
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise PrintError("a number has too many digits to print") from None
         return "".join(chunks)
 
     def __repr__(self):

@@ -54,6 +54,11 @@ class TestHessianCommand:
                        marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
                                                 reason="no int-string digit limit"))
           for template in ("{}*x1^3", "x1^{}", "x{}")),
+        # an exponent Python converts whose Hessian coefficient e*(e-1)
+        # has more digits than it prints
+        pytest.param(["--poly", "x1^" + "1" * (INT_DIGIT_LIMIT // 2 + 350)],
+                     marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                              reason="no int-string digit limit")),
     ])
     def test_malformed_input_exits_2(self, args, capsys):
         assert main(["hessian"] + args) == 2

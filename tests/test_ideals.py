@@ -293,19 +293,33 @@ class TestRadicalSquare:
 
 
 class TestRadicalOracle:
-    """J^2 in I and J not in I for the catalog ideals, by sympy."""
+    """For the radical generator J of each catalog ideal I, by sympy:
+    J divides every generator of I, J^2 is in I and J is not; the
+    record of checks.system_radical agrees."""
 
-    @pytest.mark.parametrize("name", ["sw1", "oo", "iv"])
-    def test_square_in_ideal_but_not_generator(self, name):
+    @staticmethod
+    def _sympy(name):
         sympy = pytest.importorskip("sympy")
         ideal = checks.system_ideal(name)
         gens = sympy.symbols([str(v) for v in ideal.order.variables])
-        basis = sympy.groebner(
-            [sympy.sympify(str(g).replace("^", "**")) for g in ideal.generators],
-            *gens, order="grevlex")
+        fs = [sympy.sympify(str(g).replace("^", "**")) for g in ideal.generators]
         j = sympy.sympify(checks.SYSTEMS[name][0].replace("^", "**"))
+        return sympy, gens, fs, j
+
+    @pytest.mark.parametrize("name", ["sw1", "oo", "iv"])
+    def test_square_in_ideal_but_not_generator(self, name):
+        sympy, gens, fs, j = self._sympy(name)
+        basis = sympy.groebner(fs, *gens, order="grevlex")
         assert basis.contains(j ** 2)
         assert not basis.contains(j)
+        record = checks.system_radical(name)
+        assert record.generator_in_radical and not record.generator_in_ideal
+
+    @pytest.mark.parametrize("name", ["sw1", "oo", "iv"])
+    def test_generator_divides_every_generator(self, name):
+        sympy, gens, fs, j = self._sympy(name)
+        assert fs and all(sympy.div(f, j, *gens)[1] == 0 for f in fs)
+        assert checks.system_radical(name).generators_divisible
 
 
 class TestHilbertDimension:

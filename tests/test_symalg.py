@@ -8,7 +8,7 @@ import pytest
 
 from haantjeskit.symalg import (LogarithmicTerm, Monomial,
                                 NonInvertibleSubstitution, ParseError, Poly,
-                                parse_poly, var)
+                                PrintError, parse_poly, var)
 
 
 def random_poly(rng, variables, max_terms=4, max_degree=4):
@@ -254,6 +254,13 @@ class TestStr:
 
     def test_zero(self):
         assert str(Poly.zero()) == "0"
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int-string digit limit")
+    @pytest.mark.parametrize("monomial", [Monomial.one(), Monomial.of(var("x1"))])
+    def test_overlong_coefficient_rejected(self, monomial):
+        q = Fraction(10 ** INT_DIGIT_LIMIT, 3)
+        with pytest.raises(PrintError):
+            str(Poly.term(monomial, q))
 
 
 class TestCanonicalResults:

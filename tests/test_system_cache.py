@@ -1,5 +1,5 @@
-"""Per-process caches: each catalog system's Haantjes-zero ideal and
-the Killing spaces are computed once."""
+"""Per-process caches: each catalog system's Haantjes-zero ideal, its
+radical record and the Killing spaces are computed once."""
 
 import os
 import subprocess
@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 from haantjeskit import checks
+from haantjeskit.cli import cmd_system
 from haantjeskit.killing import killing_space
 
-CACHES = (checks.system_ideal, killing_space)
+CACHES = (checks.system_ideal, checks.system_radical, killing_space)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -30,11 +31,11 @@ def test_import_and_catalog_fill_no_cache():
             "from haantjeskit import checks, killing\n"
             "killing.catalog()\n"
             "print([f.cache_info().currsize for f in (checks.system_ideal, "
-            "killing.killing_space)],\n"
+            "checks.system_radical, killing.killing_space)],\n"
             "      [fam._basis for _, fam in killing.catalog().values()])\n")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    assert out.strip() == "[0, 0] [None, None, None, None, None]"
+    assert out.strip() == "[0, 0, 0] [None, None, None, None, None]"
 
 
 def test_one_miss_per_system_and_identical_results_after_clearing():
@@ -42,6 +43,19 @@ def test_one_miss_per_system_and_identical_results_after_clearing():
     first = _run_every_system()
     assert checks.system_ideal.cache_info().misses == len(checks.SYSTEMS)
     assert checks.system_ideal.cache_info().currsize == len(checks.SYSTEMS)
+    # one record per system with a nonzero ideal: sw1, oo and iv
+    assert checks.system_radical.cache_info().misses == 3
     assert killing_space.cache_info().misses == 1
     _clear()
     assert _run_every_system() == first
+
+
+def test_radical_check_twice_leaves_the_record_unchanged():
+    record = checks.system_radical("oo")
+    # what `haantjeskit system --system oo radical-check` reports
+    first, second = (cmd_system("oo", ["radical-check"]).checks[0].payload
+                     for _ in range(2))
+    assert first == second
+    assert first is not second
+    assert checks.system_radical("oo") is record
+    assert record == checks.system_radical.__wrapped__("oo")
