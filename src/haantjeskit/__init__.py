@@ -8,15 +8,14 @@ __version__ = "0.1.0"
 from .symalg import (Monomial, Poly, VarId, parse_poly, var,
                      LogarithmicTerm, NonInvertibleSubstitution, ParseError)
 from .tensor import TensorField, hessian_operator, partial_derivative
-from .haantjes import (OperatorField, as_operator, conservation_check,
-                       haantjes, is_haantjes_zero, nijenhuis)
+from .haantjes import (as_operator, conservation_check, haantjes,
+                       is_haantjes_zero, nijenhuis)
 from .killing import (KillingFamily, PotentialSpec, UnsupportedDimension,
                       catalog, compatible_family, killing_residual,
                       killing_space)
 from .ideals import (Ideal, MonomialOrder, UnitIdeal, ZeroIdeal, buchberger,
-                     default_order, haantjes_zero_ideal, hilbert_dimension,
-                     ideal_equal, linear_factor, member, normal_form,
-                     radical_member)
+                     haantjes_zero_ideal, hilbert_dimension, ideal_equal,
+                     linear_factor, member, normal_form, radical_member)
 from .mechanics import (DegenerateK, NonUniqueSolution, NotCompatible,
                         PhaseFunction, StructuralTensor, abundant_haantjes,
                         build_integral, condition_6b, functional_independence,

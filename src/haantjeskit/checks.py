@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .haantjes import (OperatorField, as_operator, conservation_check,
-                       haantjes, is_haantjes_zero, nijenhuis)
+from .haantjes import (as_operator, conservation_check, haantjes,
+                       is_haantjes_zero, nijenhuis)
 from .ideals import (Ideal, haantjes_zero_ideal, hilbert_dimension,
                      ideal_equal, linear_factor, member, normal_form,
                      radical_member, s_polynomial)
@@ -195,7 +195,7 @@ def check_hessian_cubic() -> CheckResult:
     """haantjes(hessian(x1^3)) = 0 and the four coordinate/generator
     conservation laws hold."""
     f = parse_poly("x1^3")
-    op = OperatorField(hessian_operator(f, 3))
+    op = hessian_operator(f, 3)
     zero, witness = is_haantjes_zero(op)
     generators = [Poly.variable(var(f"x{k}")) for k in (1, 2, 3)] + [f]
     conserved = [conservation_check(op, u).is_zero() for u in generators]
@@ -213,7 +213,7 @@ def check_hessian_mixed() -> CheckResult:
     component table: H^b_32 = -H^b_23 = 2*x1*(x1^2 - x2^2), all other
     components zero."""
     f = parse_poly("x1^3 + x1*x2*x3")
-    h = haantjes(OperatorField(hessian_operator(f, 3)))
+    h = haantjes(hessian_operator(f, 3))
     claim = parse_poly(HESSIAN_MIXED_CLAIM)
     expected = TensorField.from_function(
         3, (1, 2),
@@ -236,9 +236,9 @@ def check_hessian_torsion(poly_text: str, n: int) -> CheckResult:
     residuals for the coordinates and the generator itself, both
     torsions, and the Haantjes zero/nonzero verdict with witness."""
     f = parse_poly(poly_text)
-    op = OperatorField(hessian_operator(f, n))
+    op = hessian_operator(f, n)
     payload: Dict[str, object] = {
-        "operator": [str(c) for c in op.tensor.components],
+        "operator": [str(c) for c in op.components],
     }
     generators = [Poly.variable(var(f"x{k + 1}")) for k in range(n)] + [f]
     payload["conservation_generators"] = [str(u) for u in generators]
@@ -554,10 +554,9 @@ def _random_poly(rng: random.Random, variables: Sequence[VarId],
     return total
 
 
-def _random_operator(rng: random.Random, n: int) -> OperatorField:
+def _random_operator(rng: random.Random, n: int) -> TensorField:
     xs = [var(f"x{i + 1}") for i in range(n)]
-    return OperatorField(TensorField.from_function(
-        n, (1, 1), lambda idx: _random_poly(rng, xs)))
+    return TensorField.from_function(n, (1, 1), lambda idx: _random_poly(rng, xs))
 
 
 def _swap_coordinates(t: TensorField, p: int, q: int) -> TensorField:
@@ -588,12 +587,12 @@ def check_torsion_properties(seed: int = 0, count: int = 50) -> CheckResult:
         a = _random_operator(rng, 3)
         n_t, h_t = nijenhuis(a), haantjes(a)
         pair = ((0, 1), (0, 2), (1, 2))[sample % 3]
-        b = OperatorField(_swap_coordinates(a.tensor, *pair))
+        b = _swap_coordinates(a, *pair)
         if (nijenhuis(b) != _swap_coordinates(n_t, *pair)
                 or haantjes(b) != _swap_coordinates(h_t, *pair)):
             swapped = False
         c = Fraction(rng.randint(1, 7), rng.randint(1, 5))
-        scaled = OperatorField(a.tensor.map(lambda p: p * Poly.const(c)))
+        scaled = a.map(lambda p: p * Poly.const(c))
         if (nijenhuis(scaled) != n_t.map(lambda p: p * Poly.const(c ** 2))
                 or haantjes(scaled) != h_t.map(lambda p: p * Poly.const(c ** 4))):
             scaling = False

@@ -84,8 +84,16 @@ def cmd_reproduce(seed: int = 0) -> Report:
 # ---- entry point ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as one "error:" line and exit status 2;
+    the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haantjeskit",
         description="Exact torsion, Killing-tensor and ideal computations "
                     "for second-order superintegrable systems.")

@@ -1,8 +1,10 @@
 """Nijenhuis and Haantjes torsions of operator fields, and the
 conservation-law test d(A* du) = 0.
 
-All computations are on flat R^n in Cartesian coordinates, so the
-covariant derivative is the component-wise partial derivative.
+An operator field is a (1,1) TensorField; each entry point raises
+TensorError for any other valence.  All computations are on flat R^n
+in Cartesian coordinates, so the covariant derivative is the
+component-wise partial derivative.
 """
 
 from __future__ import annotations
@@ -12,33 +14,20 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .symalg import Monomial, Poly, VarId, _var_key
-from .tensor import TensorField, TensorError, partial_derivative
+from .tensor import TensorField, TensorError, exterior_derivative, partial_derivative
 
 
-class OperatorField:
-    """A (1,1)-tensor field, the object whose torsions we compute."""
-
-    __slots__ = ("tensor",)
-
-    def __init__(self, tensor: TensorField):
-        if tensor.valence != (1, 1):
-            raise TensorError(f"operator field must have valence (1,1), got {tensor.valence}")
-        self.tensor = tensor
-
-    @property
-    def n(self) -> int:
-        return self.tensor.n
-
-    def __getitem__(self, ij) -> Poly:
-        return self.tensor[ij]
-
-
-def as_operator(k: TensorField) -> OperatorField:
-    """Operator field of a (0,2) tensor: on Euclidean R^n raising an
-    index leaves the components unchanged."""
+def as_operator(k: TensorField) -> TensorField:
+    """The (1,1) operator field of a (0,2) tensor: on Euclidean R^n
+    raising an index leaves the components unchanged."""
     if k.valence != (0, 2):
         raise TensorError(f"expected a (0,2) tensor, got valence {k.valence}")
-    return OperatorField(TensorField(k.n, (1, 1), list(k.components)))
+    return TensorField(k.n, (1, 1), k.components)
+
+
+def _require_operator(a: TensorField) -> None:
+    if a.valence != (1, 1):
+        raise TensorError(f"operator field must have valence (1,1), got {a.valence}")
 
 
 # Inside the torsion kernels a monomial is one int, sum_v e_v * 2^(w*pos_v)
@@ -84,15 +73,16 @@ def _difference(p: IntTerms, q: IntTerms) -> IntTerms:
     return acc
 
 
-def _encode(a: OperatorField):
+def _encode(a: TensorField):
     """A and dA as int term maps, at[i][j] for A^i_j and grad[i][j][k]
     for dA^i_j/dx_k, both scaled by D, and `decode(terms, p)`, the Poly
     of an int term map scaled by D^p.  Each distinct key is decoded
     once per call."""
+    _require_operator(a)
     n = a.n
     r = range(n)
-    da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
-    polys = a.tensor.components + da.components
+    da = partial_derivative(a)  # da[(i, j, k)] = d A^i_j / dx_k
+    polys = a.components + da.components
     keys = [m for p in polys for m in p.terms]
     variables = sorted({v for m in keys for v, _ in m.exps}, key=_var_key)
     top = max((abs(e) for m in keys for _, e in m.exps), default=0)
@@ -168,7 +158,7 @@ def _skew_tensor(n: int, comp: Callable[[int, int, int], Poly]) -> TensorField:
     return TensorField(n, (1, 2), comps)
 
 
-def nijenhuis(a: OperatorField) -> TensorField:
+def nijenhuis(a: TensorField) -> TensorField:
     """Nijenhuis torsion N^i_jk, antisymmetric in (j, k).
 
     N^i_jk = dA^i_k/dx_a A^a_j - dA^i_j/dx_a A^a_k
@@ -184,7 +174,7 @@ def nijenhuis(a: OperatorField) -> TensorField:
     return _skew_tensor(a.n, lambda i, j, k: decode(nt[i][j][k], 2))
 
 
-def haantjes(a: OperatorField) -> TensorField:
+def haantjes(a: TensorField) -> TensorField:
     """Haantjes torsion H^i_jk, antisymmetric in (j, k).
 
     H^i_jk = N^b_jk A^i_a A^a_b + N^i_ab A^a_j A^b_k
@@ -221,8 +211,9 @@ def haantjes(a: OperatorField) -> TensorField:
     return _skew_tensor(n, comp)
 
 
-def pullback_differential(a: OperatorField, u: Poly) -> TensorField:
+def pullback_differential(a: TensorField, u: Poly) -> TensorField:
     """The 1-form A* du, components (A* du)_k = A^a_k du/dx_a."""
+    _require_operator(a)
     n = a.n
     grads = [u.diff(VarId("x", s + 1)) for s in range(n)]
 
@@ -236,20 +227,13 @@ def pullback_differential(a: OperatorField, u: Poly) -> TensorField:
     return TensorField.from_function(n, (0, 1), comp)
 
 
-def conservation_check(a: OperatorField, u: Poly) -> TensorField:
+def conservation_check(a: TensorField, u: Poly) -> TensorField:
     """Residual d(A* du), an antisymmetric (0,2) tensor; zero exactly
     when u generates a conservation law."""
-    omega = pullback_differential(a, u)
-    n = a.n
-
-    def comp(idx):
-        j, k = idx
-        return omega[(k,)].diff(VarId("x", j + 1)) - omega[(j,)].diff(VarId("x", k + 1))
-
-    return TensorField.from_function(n, (0, 2), comp)
+    return exterior_derivative(pullback_differential(a, u))
 
 
-def is_haantjes_zero(a: OperatorField) -> Tuple[bool, Optional[Tuple[int, int, int, Poly]]]:
+def is_haantjes_zero(a: TensorField) -> Tuple[bool, Optional[Tuple[int, int, int, Poly]]]:
     """Whether the Haantjes torsion vanishes identically.
 
     On failure, returns (False, (i, j, k, component)) with 1-based

@@ -53,9 +53,9 @@ class MonomialOrder:
     graded, ties broken by the smallest exponent in the last differing
     variable.  Equal and hashed by its variables."""
 
-    def __init__(self, variables: Tuple[VarId, ...]):
+    def __init__(self, variables: Sequence[VarId]):
+        variables = self.variables = tuple(variables)
         n = len(variables)
-        self.variables = variables
         self._pos = {v: i for i, v in enumerate(variables)}
         # (key index, variable) in the canonical variable order of Monomial
         self._canon = tuple(sorted(((n - i, v) for i, v in enumerate(variables)),
@@ -93,10 +93,6 @@ class MonomialOrder:
 
     def extend(self, v: VarId) -> "MonomialOrder":
         return MonomialOrder(self.variables + (v,))
-
-
-def default_order(variables: Sequence[VarId]) -> MonomialOrder:
-    return MonomialOrder(tuple(variables))
 
 
 # ---- polynomial helpers relative to an order ---------------------------
@@ -446,7 +442,7 @@ def linear_factor(f: Poly) -> List[Poly]:
     factors = [Poly.variable(v) for v in content.variables()]
     f0 = Poly._raw({_quotient(m, content): q for m, q in f.terms.items()})
 
-    order = default_order(sorted(f.variables()))
+    order = MonomialOrder(sorted(f.variables()))
     seen = {str(p) for p in factors}
     rng = random.Random(0)
     for v in f0.variables():
@@ -485,7 +481,7 @@ def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
     """Ideal of parameter conditions under which the family's Haantjes
     torsion vanishes identically in x."""
     h = haantjes(as_operator(family.tensor))
-    order = default_order(sorted(family.params))
+    order = MonomialOrder(sorted(family.params))
     gens: Dict[str, Poly] = {}  # by printed form, which is canonical
     # H^i_kj = -H^i_jk normalizes to the same generator and H^i_jj = 0,
     # so the components with j < k give every generator

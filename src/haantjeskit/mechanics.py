@@ -15,9 +15,9 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from . import linalg
 from .symalg import Poly, VarId
-from .tensor import TensorError, TensorField, partial_derivative
+from .tensor import TensorError, TensorField, exterior_derivative, partial_derivative
 from .killing import KillingFamily, PotentialSpec
-from .haantjes import as_operator, conservation_check, haantjes, pullback_differential
+from .haantjes import as_operator, haantjes, pullback_differential
 
 
 class MechanicsError(Exception):
@@ -99,12 +99,11 @@ def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, obje
     combined potential is checked first and the reconstructed W is
     verified to differentiate back to K* dV exactly.
     """
-    a = as_operator(k)
     n = k.n
     v = potential_from_coefficients(pot, coeffs)
-    if not conservation_check(a, v).is_zero():
+    omega = pullback_differential(as_operator(k), v)
+    if not exterior_derivative(omega).is_zero():
         raise NotCompatible("d(K*dV) != 0: the tensor is not compatible with this potential")
-    omega = pullback_differential(a, v).components
     w = Poly.zero()
     for i in range(n):
         w = w + (omega[i] - w.diff(_x(i + 1))).integrate(_x(i + 1))

@@ -117,6 +117,15 @@ def partial_derivative(t: TensorField) -> TensorField:
     return TensorField.from_function(n, (t.r, t.s + 1), comp)
 
 
+def exterior_derivative(w: TensorField) -> TensorField:
+    """d of a 1-form: the antisymmetric (0,2) tensor with components
+    (dw)_jk = dw_k/dx_j - dw_j/dx_k."""
+    if w.valence != (0, 1):
+        raise TensorError(f"expected a 1-form, got valence {w.valence}")
+    dw = partial_derivative(w)  # dw[(k, j)] = d w_k / dx_j
+    return TensorField.from_function(w.n, (0, 2), lambda jk: dw[jk[::-1]] - dw[jk])
+
+
 def hessian_operator(f: Poly, n: int) -> TensorField:
     """(1,1)-operator field with components d2 f / dx_i dx_j of a
     polynomial f in the coordinates x1..xn of R^n, n >= 2."""

@@ -72,6 +72,22 @@ class TestHessianCommand:
         assert report.checks[0].payload["haantjes_zero"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["hessian", "--poly", "x1", "--dim", "abc"],
+    ["hessian", "--dim", "3"],
+    ["bogus"],
+    ["system", "--system", "sw1", "--seed", "x"],
+])
+def test_argument_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def seeded_hessian_inputs():
     """32 (polynomial text, n) pairs: four seeded terms of degree 2 to 4
     in x1..xn, alternating n = 3 and n = 4."""

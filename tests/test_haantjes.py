@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from haantjeskit.haantjes import (OperatorField, as_operator,
-                                  conservation_check, haantjes,
-                                  is_haantjes_zero, nijenhuis)
+from haantjeskit.haantjes import (as_operator, conservation_check, haantjes,
+                                  is_haantjes_zero, nijenhuis,
+                                  pullback_differential)
 from haantjeskit.killing import catalog
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var
 from haantjeskit.tensor import (TensorError, TensorField, hessian_operator,
@@ -19,9 +19,8 @@ XS = [var(s) for s in ("x1", "x2", "x3")]
 
 
 def random_operator(rng, n):
-    return OperatorField(TensorField.from_function(
-        n, (1, 1), lambda idx: random_poly(rng, XS[:n], max_terms=2,
-                                           max_degree=2)))
+    return TensorField.from_function(
+        n, (1, 1), lambda idx: random_poly(rng, XS[:n], max_terms=2, max_degree=2))
 
 
 def seeded_operator(seed, n, kind):
@@ -42,7 +41,7 @@ def seeded_operator(seed, n, kind):
             terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         return Poly(terms)
 
-    return OperatorField(TensorField.from_function(n, (1, 1), entry))
+    return TensorField.from_function(n, (1, 1), entry)
 
 
 def seeded_hessian(seed, n):
@@ -58,7 +57,7 @@ def seeded_hessian(seed, n):
         for v in rng.choices(xs, k=rng.randint(2, 4)):
             term = term * Poly.variable(v)
         f = f + term
-    return OperatorField(hessian_operator(f, n))
+    return hessian_operator(f, n)
 
 
 def matrix_operator(rows):
@@ -69,7 +68,7 @@ def matrix_operator(rows):
 def reference_nijenhuis(a):
     """The defining sum of N^i_jk for every component, diagonal included."""
     n = a.n
-    da = partial_derivative(a.tensor)  # da[(i, j, k)] = d A^i_j / dx_k
+    da = partial_derivative(a)  # da[(i, j, k)] = d A^i_j / dx_k
 
     def comp(idx):
         i, j, k = idx
@@ -110,17 +109,25 @@ HESSIANS = [(seed, n) for n in (3, 4) for seed in range(3)]
 
 class TestValence:
     def test_rejects_non_operator(self):
-        with pytest.raises(TensorError):
-            OperatorField(TensorField.zero(3, (0, 2)))
+        # a Killing tensor before as_operator, and a torsion
+        u = parse_poly("x1*x2")
+        entry_points = [nijenhuis, haantjes, is_haantjes_zero,
+                        lambda a: pullback_differential(a, u),
+                        lambda a: conservation_check(a, u)]
+        for valence in ((0, 2), (1, 2)):
+            t = TensorField.from_function(3, valence, lambda idx: parse_poly("x1"))
+            for entry_point in entry_points:
+                with pytest.raises(TensorError, match=r"valence \(1,1\)"):
+                    entry_point(t)
 
     def test_as_operator_keeps_components(self):
         k = TensorField.from_matrix([[parse_poly("x1"), parse_poly("2")],
                                      [parse_poly("2"), parse_poly("x2^2")]])
         a = as_operator(k)
-        assert a.tensor.valence == (1, 1)
-        assert a.tensor.components == k.components
+        assert a.valence == (1, 1)
+        assert a.components == k.components
         with pytest.raises(TensorError):
-            as_operator(a.tensor)
+            as_operator(a)
 
 
 class TestReferenceSums:
@@ -212,7 +219,7 @@ class TestCanonicalOutput:
         # keys.
         a = seeded_operator(1, 3, "parametric-laurent")
         expected = (nijenhuis(a), haantjes(a))
-        assert any(m.exponent(v) < 0 for c in a.tensor.components
+        assert any(m.exponent(v) < 0 for c in a.components
                    for m in c.terms for v in m.variables())
         assert not expected[1].is_zero()
 
@@ -299,14 +306,14 @@ class TestAlgebraicProperties:
         for _ in range(5):
             a = random_operator(rng, 3)
             c = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-            scaled = OperatorField(a.tensor.map(lambda p: p * Poly.const(c)))
+            scaled = a.map(lambda p: p * Poly.const(c))
             assert nijenhuis(scaled) == nijenhuis(a).map(
                 lambda p: p * Poly.const(c ** 2))
             assert haantjes(scaled) == haantjes(a).map(
                 lambda p: p * Poly.const(c ** 4))
 
     def test_identity_operator_torsion_free(self):
-        a = OperatorField(identity_operator(3))
+        a = identity_operator(3)
         assert nijenhuis(a).is_zero()
         assert haantjes(a).is_zero()
 
@@ -318,19 +325,19 @@ class TestAlgebraicProperties:
 
 class TestHessianExamples:
     def test_cubic_is_haantjes_zero(self):
-        op = OperatorField(hessian_operator(parse_poly("x1^3"), 3))
+        op = hessian_operator(parse_poly("x1^3"), 3)
         zero, witness = is_haantjes_zero(op)
         assert zero and witness is None
 
     def test_planar_square_is_haantjes_zero(self):
-        op = OperatorField(hessian_operator(parse_poly("x1^2"), 2))
+        op = hessian_operator(parse_poly("x1^2"), 2)
         assert is_haantjes_zero(op)[0]
 
     def test_mixed_cubic_components(self):
         # Hessian of x1^3 + x1*x2*x3: the nonzero Haantjes components
         # sit exactly on the all-distinct index triples, with value
         # +-12*x1*(x2^2 - x3^2) by permutation parity.
-        op = OperatorField(hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3))
+        op = hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3)
         h = haantjes(op)
         base = parse_poly("12*x1*x2^2 - 12*x1*x3^2")
         even = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
@@ -356,7 +363,7 @@ class TestHessianExamples:
         assert is_haantjes_zero(op) == (first is None, first)
 
     def test_witness_indices_are_one_based(self):
-        op = OperatorField(hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3))
+        op = hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3)
         _, (i, j, k, component) = is_haantjes_zero(op)
         assert min(i, j, k) >= 1 and max(i, j, k) <= 3
         assert not component.is_zero()
@@ -377,7 +384,7 @@ class TestSympyOracle:
     def assert_matches(a):
         sympy = pytest.importorskip("sympy")
         n = a.n
-        names = sorted({str(v) for c in a.tensor.components for v in c.variables()}
+        names = sorted({str(v) for c in a.components for v in c.variables()}
                        | {f"x{s + 1}" for s in range(n)})
         R, *gens = sympy.ring(names, sympy.QQ)
         xs = [gens[names.index(f"x{s + 1}")] for s in range(n)]
@@ -419,7 +426,7 @@ class TestSympyOracle:
                         assert v[i] == elem(computed[(i, j, k)]), (i, j, k)
 
     def test_mixed_cubic(self):
-        op = OperatorField(hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3))
+        op = hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3)
         assert haantjes(op)[(1, 2, 0)] == parse_poly("12*x1*x2^2 - 12*x1*x3^2")
         self.assert_matches(op)
 
@@ -434,7 +441,7 @@ class TestSympyOracle:
 class TestConservation:
     def test_hessian_conservation_laws(self):
         f = parse_poly("x1^3 + x1*x2*x3")
-        op = OperatorField(hessian_operator(f, 3))
+        op = hessian_operator(f, 3)
         for u in [parse_poly("x1"), parse_poly("x2"), parse_poly("x3"), f]:
             assert conservation_check(op, u).is_zero()
 

@@ -9,7 +9,7 @@ from haantjeskit import checks, ideals
 from haantjeskit.haantjes import as_operator, haantjes
 from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 UnitIdeal, ZeroIdeal, buchberger,
-                                default_order, haantjes_zero_ideal,
+                                haantjes_zero_ideal,
                                 hilbert_dimension, ideal_equal, leading_term,
                                 linear_factor, member, monic, normal_form,
                                 primitive_normalized, radical_member,
@@ -22,7 +22,7 @@ B = [var(f"b{i}") for i in range(1, 7)]
 
 
 def border(k=6):
-    return default_order(B[:k])
+    return MonomialOrder(B[:k])
 
 
 class TestMonomialOrder:
@@ -58,7 +58,7 @@ class TestMonomialOrder:
         table = {border(2): "first", border(2): "second"}
         assert list(table.values()) == ["second"]
         assert border(2) != border(3)
-        assert border(2) != default_order([B[1], B[0]])
+        assert border(2) != MonomialOrder([B[1], B[0]])
 
     def test_key_round_trip(self):
         # variables out of the canonical order, and one with exponent 0
@@ -72,7 +72,7 @@ class TestMonomialOrder:
         with pytest.raises(IdealsError):
             border(2).key(Monomial.of(var("b3")))
         with pytest.raises(IdealsError):
-            default_order([var("x1")]).key(Monomial.of(var("x1"), -1))
+            MonomialOrder([var("x1")]).key(Monomial.of(var("x1"), -1))
 
 
 class TestBuchberger:
@@ -420,7 +420,7 @@ class TestLinearFactorOracle:
     def sympy_linear_factors(f):
         sympy = pytest.importorskip("sympy")
         _, factors = sympy.factor_list(sympy.sympify(str(f).replace("^", "**")))
-        order = default_order(sorted(f.variables()))
+        order = MonomialOrder(sorted(f.variables()))
         return sorted(
             str(primitive_normalized(parse_poly(str(g).replace("**", "^")), order))
             for g, _ in factors if sympy.Poly(g).total_degree() == 1)
@@ -452,7 +452,7 @@ def all_components_generators(family):
     """haantjes_zero_ideal's generators, read from all n^3 components of
     the torsion."""
     h = haantjes(as_operator(family.tensor))
-    order = default_order(sorted(family.params))
+    order = MonomialOrder(sorted(family.params))
     gens = {}
     for comp in h.components:
         for coeff in comp.collect(frozenset(("x",))).values():

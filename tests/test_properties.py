@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from haantjeskit.haantjes import OperatorField, haantjes, nijenhuis  # noqa: E402
+from haantjeskit.haantjes import haantjes, nijenhuis  # noqa: E402
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var  # noqa: E402
 from haantjeskit.tensor import TensorField  # noqa: E402
 
@@ -70,7 +70,7 @@ def operators(n):
                       for v in variables}).map(Monomial)
     entries = st.dictionaries(entry_monomials, coefficients, max_size=2).map(Poly)
     return st.lists(entries, min_size=n * n, max_size=n * n).map(
-        lambda cs: OperatorField(TensorField(n, (1, 1), cs)))
+        lambda cs: TensorField(n, (1, 1), cs))
 
 
 @settings(max_examples=25, deadline=None)

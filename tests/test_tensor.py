@@ -5,8 +5,8 @@ import random
 import pytest
 
 from haantjeskit.symalg import Poly, parse_poly, var
-from haantjeskit.tensor import (TensorError, TensorField, hessian_operator,
-                                partial_derivative)
+from haantjeskit.tensor import (TensorError, TensorField, exterior_derivative,
+                                hessian_operator, partial_derivative)
 from .test_symalg import random_poly
 
 XS = [var(s) for s in ("x1", "x2", "x3")]
@@ -59,6 +59,17 @@ class TestDerivative:
         for i in range(3):
             for j in range(3):
                 assert dd[(0, 0, i, j)] == dd[(0, 0, j, i)]
+
+    def test_exterior_derivative(self):
+        # d(x2 dx1) = -dx1^dx2, and d(du) = 0 for a random u
+        w = TensorField(2, (0, 1), [parse_poly("x2"), parse_poly("0")])
+        assert exterior_derivative(w).matrix() == [[Poly.zero(), Poly.const(-1)],
+                                                   [Poly.const(1), Poly.zero()]]
+        u = random_poly(random.Random(2), XS, max_terms=3, max_degree=3)
+        du = TensorField.from_function(3, (0, 1), lambda k: u.diff(XS[k[0]]))
+        assert exterior_derivative(du).is_zero()
+        with pytest.raises(TensorError):
+            exterior_derivative(TensorField.zero(3, (1, 1)))
 
 
 class TestHessian:
