@@ -6,14 +6,19 @@ roots on lines.
 
 Inside this module a monomial is its grevlex key over the order's
 variables, (total degree, -e_n, ..., -e_1), and a polynomial is a
-{key: Fraction} map; `Poly` is built only at the public boundary.
-Keys sort in the order itself, a product is componentwise addition,
-divisibility a componentwise comparison and an lcm a componentwise
-minimum of the negated exponents.  The engine is a plain Buchberger
-loop with the coprimality criterion and normal (smallest-lcm-first)
-pair selection; the scale of every ideal in this package (degree <= 4
-generators in at most 7 variables) keeps this comfortably fast with
-exact coefficients.
+{key: int} map, primitive over Z (its coefficients have gcd 1) with a
+positive leading coefficient: a rational multiple of the polynomial it
+stands for, which generates the same ideal.  `Poly` and `Fraction` are
+built only at the public boundary.  Keys sort in the order itself, a
+product is componentwise addition, divisibility a componentwise
+comparison and an lcm a componentwise minimum of the negated exponents.
+Division is fraction-free: what is left is scaled by an integer before
+each step instead of dividing by a leading coefficient, and the scale
+is tracked, so the exact remainder over Q stays recoverable.  The
+engine is a plain Buchberger loop with the coprimality criterion and
+normal (smallest-lcm-first) pair selection; the scale of every ideal in
+this package (degree <= 4 generators in at most 7 variables) keeps this
+comfortably fast with exact coefficients.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class UnitIdeal(IdealsError):
 
 
 Key = Tuple[int, ...]
-Terms = Dict[Key, Fraction]
+Terms = Dict[Key, int]
 
 
 class MonomialOrder:
@@ -122,13 +127,31 @@ def _lcm_mono(a: Monomial, b: Monomial) -> Monomial:
 # ---- keyed polynomials --------------------------------------------------
 
 
+def _primitive(terms: Terms) -> Tuple[Terms, int]:
+    """The nonzero int terms divided by their content c, signed so the
+    leading coefficient is positive, and c (1 for no terms)."""
+    if not terms:
+        return terms, 1
+    c = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        c = -c
+    if c == 1:
+        return terms, 1
+    return {k: q // c for k, q in terms.items()}, c
+
+
 def _keyed(f: Poly, order: MonomialOrder) -> Terms:
-    return {order.key(m): q for m, q in f.terms.items()}
+    """The keyed polynomial of f: denominators cleared, content divided
+    out, leading coefficient positive."""
+    den = reduce(lcm, (q.denominator for q in f.terms.values()), 1)
+    return _primitive({order.key(m): q.numerator * (den // q.denominator)
+                       for m, q in f.terms.items()})[0]
 
 
-def _poly(terms: Terms, order: MonomialOrder) -> Poly:
-    """The Poly of a keyed polynomial whose coefficients are nonzero."""
-    return Poly._raw({order.monomial(k): q for k, q in terms.items()})
+def _poly(terms: Terms, order: MonomialOrder, scale: Fraction) -> Poly:
+    """The Poly scale * terms, for nonzero int coefficients and a nonzero
+    scale."""
+    return Poly._raw({order.monomial(k): scale * q for k, q in terms.items()})
 
 
 def _divides(a: Key, b: Key) -> bool:
@@ -140,11 +163,6 @@ def _lcm(a: Key, b: Key) -> Key:
     return (-sum(neg), *neg)
 
 
-def _monic(terms: Terms, lm: Key) -> Terms:
-    inv = 1 / terms[lm]
-    return {k: q * inv for k, q in terms.items()}
-
-
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     """Remainder of full multivariate division of f by the basis: each
     step divides the leading term of what is left by the first basis
@@ -152,21 +170,33 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     keyed = [_keyed(g, order) for g in basis]
     if not all(keyed):
         raise IdealsError("zero polynomial has no leading term")
-    return _poly(_remainder(_keyed(f, order), keyed, [max(g) for g in keyed]), order)
+    if f.is_zero():
+        return f
+    fk = _keyed(f, order)
+    r, scale, content = _remainder(fk, keyed, [max(g) for g in keyed])
+    # fk = s * f with s = fk[lm] / lc, and content * r = scale * s * (f's remainder)
+    lm, lc = leading_term(f, order)
+    return _poly(r, order, Fraction(content) * lc / (scale * fk[order.key(lm)]))
 
 
-def _remainder(terms: Terms, basis: Sequence[Terms], lms: Sequence[Key]) -> Terms:
-    """Keyed normal form of the polynomial with the given terms (zero
-    coefficients allowed), given the leading key of each basis element;
-    the result has no zero coefficient.
+def _remainder(terms: Terms, basis: Sequence[Terms],
+               lms: Sequence[Key]) -> Tuple[Terms, int, int]:
+    """Fraction-free keyed normal form of the polynomial with the given
+    int terms (zero coefficients allowed), given the leading key of each
+    basis element: (r, scale, content), where r is primitive with a
+    positive leading coefficient and content * r = scale * the exact
+    remainder over Q; r is empty when that remainder is zero.
 
-    The pending keys stay sorted; every term a division step brings in
-    is smaller than the term it removes, so each key is taken at most
-    once."""
+    To cancel a term q*k with a divisor of leading coefficient a, what
+    is left and the remainder so far are scaled by a / gcd(a, q), and
+    q / gcd(a, q) times the shifted divisor is subtracted.  The pending
+    keys stay sorted; every term a division step brings in is smaller
+    than the term it removes, so each key is taken at most once."""
     coeffs = dict(terms)
     pending = sorted(coeffs)
     tails = [lm[1:] for lm in lms]
     remainder: Terms = {}
+    scale = 1
     while pending:
         k = pending.pop()
         q = coeffs.pop(k)
@@ -175,8 +205,17 @@ def _remainder(terms: Terms, basis: Sequence[Terms], lms: Sequence[Key]) -> Term
         kt = k[1:]
         for g, glm, gt in zip(basis, lms, tails):
             if all(map(ge, gt, kt)):  # glm divides k
+                a = g[glm]
+                d = gcd(a, q)
+                if d != a:
+                    m = a // d
+                    scale *= m
+                    for ck in coeffs:
+                        coeffs[ck] *= m
+                    for rk in remainder:
+                        remainder[rk] *= m
+                c = q // d
                 t = tuple(map(sub, k, glm))
-                c = q / g[glm]
                 for gk, gq in g.items():
                     if gk == glm:
                         continue  # cancels the leading term exactly
@@ -189,7 +228,8 @@ def _remainder(terms: Terms, basis: Sequence[Terms], lms: Sequence[Key]) -> Term
                 break
         else:
             remainder[k] = q
-    return remainder
+    r, content = _primitive(remainder)
+    return r, scale, content
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -203,14 +243,18 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 
 
 def _s_terms(f: Terms, fm: Key, g: Terms, gm: Key) -> Terms:
-    """Terms of the S-polynomial of the keyed f and g, given their
-    leading keys, without the leading terms, which cancel exactly; other
-    coefficients may cancel to zero and are kept."""
+    """Terms of (b/d) t_f f - (a/d) t_g g for the keyed f and g with
+    leading keys fm and gm, leading coefficients a and b, d = gcd(a, b)
+    and t_f, t_g the cofactors of the lcm of the leading monomials:
+    lcm(a, b) times their S-polynomial.  The leading terms, which cancel
+    exactly, are left out; other coefficients may cancel to zero and
+    are kept."""
     l = _lcm(fm, gm)
+    a, b = f[fm], g[gm]
+    d = gcd(a, b)
     out: Terms = {}
-    for h, hm, sign in ((f, fm, 1), (g, gm, -1)):
+    for h, hm, c in ((f, fm, b // d), (g, gm, -(a // d))):
         t = tuple(map(sub, l, hm))
-        c = sign / h[hm]
         for k, q in h.items():
             if k != hm:
                 k = tuple(map(add, k, t))
@@ -225,22 +269,17 @@ def monic(f: Poly, order: MonomialOrder) -> Poly:
 
 def primitive_normalized(f: Poly, order: MonomialOrder) -> Poly:
     """Integer-primitive scalar multiple with positive leading coefficient."""
-    den = reduce(lcm, (q.denominator for q in f.terms.values()), 1)
-    num = reduce(gcd, (abs(q.numerator) for q in f.terms.values()), 0)
-    g = f * Fraction(den, num)
-    if leading_term(g, order)[1] < 0:
-        g = -g
-    return g
+    return _poly(_keyed(f, order), order, Fraction(1))
 
 
 def buchberger(generators: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     """Unique reduced Groebner basis of the generators."""
     basis = [_keyed(g, order) for g in generators if not g.is_zero()]
-    return [_poly(g, order) for g in _groebner(basis)]
+    return [_poly(g, order, Fraction(1, g[max(g)])) for g in _groebner(basis)]
 
 
 def _groebner(basis: List[Terms]) -> List[Terms]:
-    """Reduced Groebner basis of nonzero keyed polynomials, monic and
+    """Reduced Groebner basis of nonzero keyed polynomials, keyed and
     sorted by leading key, largest first; extends `basis` in place."""
     if not basis:
         return []
@@ -257,7 +296,7 @@ def _groebner(basis: List[Terms]) -> List[Terms]:
         add_pairs(j)
     while pairs:
         _, i, j = pairs.pop(0)
-        rem = _remainder(_s_terms(basis[i], lms[i], basis[j], lms[j]), basis, lms)
+        rem = _remainder(_s_terms(basis[i], lms[i], basis[j], lms[j]), basis, lms)[0]
         if rem:
             basis.append(rem)
             lms.append(max(rem))
@@ -270,15 +309,15 @@ def _reduce_basis(basis: List[Terms], lms: List[Key]) -> List[Terms]:
     keep = [i for i, lm in enumerate(lms)
             if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
                        for j in range(len(basis)))]
-    minimal = [_monic(basis[i], lms[i]) for i in keep]
+    minimal = [basis[i] for i in keep]
     mlms = [lms[i] for i in keep]
     # tail-reduce each element modulo the others (leading monomials of a
     # minimal basis are stable under this, so one pass suffices)
     reduced = []
     for i, g in enumerate(minimal):
-        r = _remainder(g, minimal[:i] + minimal[i + 1:], mlms[:i] + mlms[i + 1:])
+        r = _remainder(g, minimal[:i] + minimal[i + 1:], mlms[:i] + mlms[i + 1:])[0]
         if r:
-            reduced.append(_monic(r, max(r)))
+            reduced.append(r)
     reduced.sort(key=max, reverse=True)
     return reduced
 
@@ -304,8 +343,9 @@ class Ideal:
         return self._basis
 
     def _keyed_basis(self) -> Tuple[List[Terms], List[Key]]:
-        """The reduced Groebner basis keyed, with its leading keys
-        (cached; write-once), for the queries of this module."""
+        """The reduced Groebner basis keyed (primitive over Z, like every
+        keyed polynomial), with its leading keys (cached; write-once),
+        for the queries of this module."""
         if self._keyed is None:
             basis = [_keyed(g, self.order) for g in self.groebner()]
             self._keyed = basis, [max(g) for g in basis]
@@ -321,7 +361,7 @@ def member(f: Poly, ideal: Ideal) -> bool:
     basis, lms = ideal._keyed_basis()
     if not basis:
         return f.is_zero()
-    return not _remainder(_keyed(f, ideal.order), basis, lms)
+    return not _remainder(_keyed(f, ideal.order), basis, lms)[0]
 
 
 _T = VarId("t", 1)
@@ -499,7 +539,7 @@ def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
     lms: List[Key] = []
     for text in sorted(gens, key=lambda t: (max(keyed[t])[0], t)):
         k = keyed[text]
-        if basis and not _remainder(k, basis, lms):
+        if basis and not _remainder(k, basis, lms)[0]:
             continue
         pruned.append(gens[text])
         basis.append(k)

@@ -132,7 +132,11 @@ def functional_independence(fs: Sequence[PhaseFunction], trials: int = 10,
     sample points (a stable lower bound for the functional rank).
 
     Any non-phase parameters occurring in the functions are also bound
-    to random rationals per trial.
+    to random rationals per trial.  Sampling stops early once the rank
+    reaches min(len(fs), 2n), or 2n - 1 when fs[0] has a nonzero
+    differential and Poisson-commutes with every other function: the
+    Hamiltonian field of fs[0] is then in the kernel of the Jacobian
+    wherever d fs[0] is nonzero, so every 2n-minor vanishes identically.
     """
     if not fs:
         return 0
@@ -141,6 +145,14 @@ def functional_independence(fs: Sequence[PhaseFunction], trials: int = 10,
     params = sorted({v for f in fs for v in f.poly.variables()
                      if v.ns not in ("x", "p")})
     jac = [[f.poly.diff(v) for v in phase_vars] for f in fs]
+    bound = min(len(fs), 2 * n)
+    first = jac[0]
+    # the brackets {fs[0], g} from the Jacobian rows
+    if bound == 2 * n and any(not e.is_zero() for e in first) and all(
+            sum((first[n + k] * row[k] - first[k] * row[n + k] for k in range(n)),
+                Poly.zero()).is_zero()
+            for row in jac[1:]):
+        bound -= 1
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
@@ -148,7 +160,7 @@ def functional_independence(fs: Sequence[PhaseFunction], trials: int = 10,
         point.update({v: random_rational(rng) for v in params})
         rows = [[entry.evaluate(point) for entry in row] for row in jac]
         best = max(best, linalg.rank(rows))
-        if best == min(len(fs), 2 * n):
+        if best == bound:
             break
     return best
 
@@ -204,26 +216,24 @@ def structural_tensor_at(family: KillingFamily, x0: Sequence[Fraction]) -> Struc
         raise NonUniqueSolution(
             f"family has {len(basis)} parameters but {len(pairs)} component pairs")
     binding = _point_binding(x0)
-    m = []
-    for elem in basis:
-        row = []
-        for (a, b) in pairs:
-            weight = 1 if a == b else 2
-            row.append(weight * elem[(a, b)].evaluate(binding))
-        m.append(row)
-    if linalg.rank(m) < len(pairs):
-        raise NonUniqueSolution("basis evaluation matrix singular at this point")
-
-    # m is square and invertible, so every solve below has one solution
     grads = [partial_derivative(elem) for elem in basis]
+    triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
+    # one row per basis element: its weighted components, then one
+    # right-hand side per (i, j, k); reducing [M | all right-hand sides]
+    # once gives [I | the unique solutions] when M is invertible
+    aug = []
+    for elem, g in zip(basis, grads):
+        row = [(1 if a == b else 2) * elem[(a, b)].evaluate(binding) for a, b in pairs]
+        row += [g[t].evaluate(binding) for t in triples]
+        aug.append(row)
+    red, pivots = linalg.rref(aug)
+    if pivots[:len(pairs)] != list(range(len(pairs))):
+        raise NonUniqueSolution("basis evaluation matrix singular at this point")
     values: Dict[Tuple[int, int, int, int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                rhs = [g[(i, j, k)].evaluate(binding) for g in grads]
-                for (a, b), q in zip(pairs, linalg.solve(m, rhs)):
-                    if q:
-                        values[(a, b, i, j, k)] = q
+    for c, (i, j, k) in enumerate(triples, len(pairs)):
+        for (a, b), row in zip(pairs, red):
+            if row[c]:
+                values[(a, b, i, j, k)] = row[c]
     return StructuralTensor(dimension=n, values=values)
 
 

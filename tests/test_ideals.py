@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -19,6 +20,17 @@ from haantjeskit.symalg import Monomial, Poly, parse_poly, var
 from haantjeskit.tensor import TensorField
 
 B = [var(f"b{i}") for i in range(1, 7)]
+
+
+def keyed_poly(terms, order):
+    """The Poly of a keyed polynomial, coefficient for coefficient."""
+    return Poly({order.monomial(k): q for k, q in terms.items()})
+
+
+def assert_primitive(terms):
+    """Nonzero int coefficients with gcd 1 and a positive leading one."""
+    assert terms and all(type(q) is int and q for q in terms.values())
+    assert gcd(*terms.values()) == 1 and terms[max(terms)] > 0
 
 
 def border(k=6):
@@ -96,7 +108,9 @@ class TestBuchberger:
                 assert normal_form(s, basis, order).is_zero()
 
     def test_internal_s_terms_match_the_reference(self):
-        # buchberger's own S-polynomials against plain Poly arithmetic
+        # buchberger's own S-polynomials are lcm(a, b) times the plain
+        # Poly reference, for the leading coefficients a and b of the
+        # primitive keyed inputs
         rng = random.Random(5)
         order = border(3)
         for _ in range(60):
@@ -105,9 +119,10 @@ class TestBuchberger:
             if f.is_zero() or g.is_zero():
                 continue
             fk, gk = ideals._keyed(f, order), ideals._keyed(g, order)
+            a, b = fk[max(fk)], gk[max(gk)]
             terms = ideals._s_terms(fk, max(fk), gk, max(gk))
             assert Poly({order.monomial(k): q for k, q in terms.items()}) \
-                == s_polynomial(f, g, order)
+                == lcm(a, b) * s_polynomial(keyed_poly(fk, order), keyed_poly(gk, order), order)
 
     def test_normal_form_is_linear(self):
         order = border(3)
@@ -157,6 +172,15 @@ class TestGroebnerOracle:
         ideal = catalog_ideals[name]
         assert sorted(ideal.groebner(), key=str) == self.sympy_reduced_basis(ideal)
 
+    @pytest.mark.parametrize("name", ["sw1", "oo", "iv", "reference"])
+    def test_keyed_basis_is_primitive(self, catalog_ideals, name):
+        ideal = catalog_ideals[name]
+        basis, lms = ideal._keyed_basis()
+        assert lms == [max(g) for g in basis]
+        for g, monic_g in zip(basis, ideal.groebner()):
+            assert_primitive(g)
+            assert monic(keyed_poly(g, ideal.order), ideal.order) == monic_g
+
     @pytest.mark.parametrize("seed", range(3))
     def test_generator_order_does_not_matter(self, catalog_ideals, seed):
         ideal = catalog_ideals["sw1"]
@@ -197,6 +221,35 @@ class TestNormalForm:
                      * _random_small(rng, B[:3], False)
                      for _ in range(rng.randint(1, 3))]
             assert normal_form(f, basis, order) == _division_remainder(f, basis, order)
+
+    def test_rational_coefficients_keep_the_exact_remainder(self):
+        # f and the divisors have non-integer coefficients and leading
+        # coefficients other than 1, so the fraction-free division scales
+        # what is left; normal_form must divide that factor back out
+        rng = random.Random(11)
+        order = border(3)
+        rational = 0
+        for _ in range(40):
+            f = (Fraction(rng.choice((-5, -3, 3, 7)), rng.choice((2, 4, 9)))
+                 * _random_small(rng, B[:3], False) * _random_linear(rng, B[:3], False))
+            basis = [Fraction(rng.choice((-7, -2, 5)), rng.choice((3, 6)))
+                     * _random_linear(rng, B[:3], rng.random() < 0.5)
+                     * _random_small(rng, B[:3], False)
+                     for _ in range(rng.randint(1, 3))]
+            rational += any(c.denominator != 1 for c in f.terms.values())
+            r = normal_form(f, basis, order)
+            assert r == _division_remainder(f, basis, order)
+            assert normal_form(Fraction(-2, 3) * f, basis, order) == Fraction(-2, 3) * r
+        assert rational >= 30
+
+    def test_remainder_factor(self):
+        # 2*b1 + 1 by 3*b1 + 2: scaled by 3, 3*(2*b1 + 1) - 2*(3*b1 + 2)
+        # = -1 = content * r, and the exact remainder is -1/3
+        order = border(1)
+        f, g = (ideals._keyed(parse_poly(t), order) for t in ("2*b1 + 1", "3*b1 + 2"))
+        assert ideals._remainder(f, [g], [max(g)]) == ({(0, 0): 1}, 3, -1)
+        assert normal_form(parse_poly("2*b1 + 1"), [parse_poly("3*b1 + 2")], order) \
+            == Poly.const(Fraction(-1, 3))
 
 
 class TestMembership:

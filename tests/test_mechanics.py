@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from haantjeskit import checks
+from haantjeskit import checks, linalg
 from haantjeskit.killing import catalog
-from haantjeskit.mechanics import (DegenerateK, MechanicsError, NotCompatible,
-                                   PhaseFunction, abundant_haantjes, build_integral,
+from haantjeskit.mechanics import (DegenerateK, MechanicsError, NonUniqueSolution,
+                                   NotCompatible, PhaseFunction, abundant_haantjes, build_integral,
                                    condition_6b, functional_independence,
                                    haantjes_at, hamiltonian, poisson,
                                    random_rational, structural_tensor_at)
@@ -20,6 +20,42 @@ from .test_tensor import identity_operator
 
 def phase(n, text):
     return PhaseFunction(n, parse_poly(text))
+
+
+def catalog_integrals(name):
+    """{H} and the integral of every basis tensor of the catalog family,
+    as the generic `mechanics` action builds them."""
+    pot, fam = catalog()[name]
+    coeffs = {r: Poly.variable(var(f"a{r}")) for r in range(len(pot.generators))}
+    return [hamiltonian(pot, coeffs)] + [build_integral(k, pot, coeffs) for k in fam.basis()]
+
+
+def sympy_jacobian_rank(fs):
+    """Exact rank of the symbolic phase-space Jacobian over Q(x, p, a)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    n = fs[0].dimension
+    exprs = [sympy.sympify(str(f.poly).replace("^", "**")) for f in fs]
+    phase_vars = sympy.symbols(f"x1:{n + 1} p1:{n + 1}")
+    jac = sympy.Matrix([[sympy.diff(e, v) for v in phase_vars] for e in exprs])
+    symbols = sorted(set().union(*(e.free_symbols for e in exprs)), key=str)
+    field = sympy.QQ.frac_field(*symbols)
+    return DomainMatrix.from_Matrix(jac).convert_to(field).rank()
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The Jacobian ranks that functional_independence computes."""
+    calls = []
+    real = linalg.rank
+
+    def spy(rows):
+        calls.append(real(rows))
+        return calls[-1]
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    return calls
 
 
 class TestPoisson:
@@ -115,20 +151,40 @@ class TestFunctionalIndependence:
     def test_radial_rank_matches_sympy_jacobian(self):
         """{H, F1, F2, F3, F5}: the exact rank of the symbolic Jacobian
         over Q(x, p, a), by sympy, equals the sampled in-repo rank."""
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.matrices import DomainMatrix
-
         pot, coeffs, integrals = checks._nonmaximal_integrals()
         fs = [hamiltonian(pot, coeffs)] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
-        exprs = [sympy.sympify(str(f.poly).replace("^", "**")) for f in fs]
-        phase_vars = sympy.symbols("x1 x2 x3 p1 p2 p3")
-        jac = sympy.Matrix([[sympy.diff(e, v) for v in phase_vars] for e in exprs])
-        symbols = sorted(set().union(*(e.free_symbols for e in exprs)), key=str)
-        field = sympy.QQ.frac_field(*symbols)
-        rank = DomainMatrix.from_Matrix(jac).convert_to(field).rank()
+        rank = sympy_jacobian_rank(fs)
         assert rank == 4
         assert functional_independence(fs, trials=10, seed=0) == rank
 
+
+    @pytest.mark.parametrize("name", ["sw1", "oscillator", "oo", "iv"])
+    def test_catalog_rank_matches_sympy_jacobian(self, name):
+        """{H} and the six family integrals: exact rank 2n - 1 = 5."""
+        fs = catalog_integrals(name)
+        assert sympy_jacobian_rank(fs) == 5
+        assert functional_independence(fs, seed=0) == 5
+
+    def test_commuting_first_function_bounds_the_rank(self, rank_calls):
+        # H commutes with the six sw1 integrals, so rank 2n - 1 = 5 at
+        # the first point ends the sampling
+        assert functional_independence(catalog_integrals("sw1"), seed=0) == 5
+        assert rank_calls == [5]
+
+    def test_other_inputs_keep_the_plain_bound(self, rank_calls):
+        # x1 does not commute with p1: no bound below 2n = 4
+        fs = [phase(2, t) for t in ("x1", "x2", "p1", "p2", "x1*p2")]
+        assert functional_independence(fs, seed=0) == 4
+        assert rank_calls == [4]
+
+    def test_constant_first_function_gets_no_bound(self, monkeypatch):
+        # a constant commutes with everything but has no Hamiltonian
+        # field, so a first sample of rank 2n - 1 must not end the search
+        fs = [phase(2, t) for t in ("1", "x1", "x2", "p1", "p2")]
+        assert functional_independence(fs, seed=0) == 4
+        ranks = iter([3, 4])
+        monkeypatch.setattr(linalg, "rank", lambda rows: next(ranks))
+        assert functional_independence(fs, seed=0) == 4
 
 class TestStructuralTensor:
     def test_oscillator_vanishes(self):
@@ -137,6 +193,14 @@ class TestStructuralTensor:
         for _ in range(5):
             x0 = [random_rational(rng) for _ in range(3)]
             assert structural_tensor_at(fam, x0).is_zero()
+
+    def test_singular_or_nonsquare_system_rejected(self):
+        # det M = 8 x1^2 x2^2 x3^2 for sw1 vanishes at x1 = 0, and the
+        # nonmaximal family has 4 parameters for 6 component pairs
+        with pytest.raises(NonUniqueSolution):
+            structural_tensor_at(catalog()["sw1"][1], [Fraction(0), Fraction(1), Fraction(2)])
+        with pytest.raises(NonUniqueSolution):
+            structural_tensor_at(catalog()["nonmaximal-3d"][1], [Fraction(1)] * 3)
 
     def test_reproduces_derivatives(self):
         from haantjeskit.tensor import partial_derivative
