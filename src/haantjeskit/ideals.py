@@ -262,11 +262,6 @@ def _s_terms(f: Terms, fm: Key, g: Terms, gm: Key) -> Terms:
     return out
 
 
-def monic(f: Poly, order: MonomialOrder) -> Poly:
-    _, lc = leading_term(f, order)
-    return f * (1 / lc)
-
-
 def primitive_normalized(f: Poly, order: MonomialOrder) -> Poly:
     """Integer-primitive scalar multiple with positive leading coefficient."""
     return _poly(_keyed(f, order), order, Fraction(1))

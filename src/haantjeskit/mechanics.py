@@ -3,15 +3,17 @@ motion, functional independence, the structural tensor of abundant
 systems, and the quartic contraction formula its Haantjes torsion
 satisfies.
 
-Phase functions live on T*R^n with position variables x1..xn (Laurent
-allowed) and momentum variables p1..pn.
+Phase functions are plain Polys on T*R^n: Laurent in the positions
+x1..xn, polynomial in the momenta p1..pn (Monomial rejects a negative
+momentum exponent).  No dimension is stored; n is read off as the
+largest index of an x_k or p_k that occurs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .symalg import Poly, VarId
@@ -44,31 +46,19 @@ def _p(i: int) -> VarId:
     return VarId("p", i)
 
 
-class PhaseFunction:
-    """Function on T*R^n: polynomial in momenta, Laurent in positions."""
-
-    def __init__(self, dimension: int, poly: Poly):
-        self.dimension = dimension
-        self.poly = poly
-        for m in poly.terms:
-            for v, e in m.exps:
-                if v.ns == "p" and e < 0:
-                    raise MechanicsError("negative momentum exponents are not allowed")
-
-    def __str__(self):
-        return str(self.poly)
+def _phase_indices(fs: Sequence[Poly]) -> List[int]:
+    """The indices k of the x_k and p_k occurring in fs, ascending."""
+    return sorted({v.index for f in fs for v in f.variables() if v.ns in ("x", "p")})
 
 
-def poisson(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """Canonical Poisson bracket {f, g}."""
-    if f.dimension != g.dimension:
-        raise MechanicsError("phase functions live on different dimensions")
-    n = f.dimension
+def poisson(f: Poly, g: Poly) -> Poly:
+    """Canonical Poisson bracket {f, g}, summed over the indices k of
+    the x_k and p_k occurring in f or g (every other term is zero)."""
     total = Poly.zero()
-    for k in range(1, n + 1):
-        total = total + f.poly.diff(_p(k)) * g.poly.diff(_x(k))
-        total = total - f.poly.diff(_x(k)) * g.poly.diff(_p(k))
-    return PhaseFunction(n, total)
+    for k in _phase_indices((f, g)):
+        total = total + f.diff(_p(k)) * g.diff(_x(k))
+        total = total - f.diff(_x(k)) * g.diff(_p(k))
+    return total
 
 
 # ---- integrals of motion ----------------------------------------------
@@ -82,16 +72,16 @@ def potential_from_coefficients(pot: PotentialSpec, coeffs: Mapping[int, object]
     return v
 
 
-def hamiltonian(pot: PotentialSpec, coeffs: Mapping[int, object]) -> PhaseFunction:
+def hamiltonian(pot: PotentialSpec, coeffs: Mapping[int, object]) -> Poly:
     """H = sum p_k^2 + V for the combined potential."""
     n = pot.dimension
     h = potential_from_coefficients(pot, coeffs)
     for k in range(1, n + 1):
         h = h + Poly.variable(_p(k)) ** 2
-    return PhaseFunction(n, h)
+    return h
 
 
-def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, object]) -> PhaseFunction:
+def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, object]) -> Poly:
     """Second-order integral K^{ij} p_i p_j + W with dW = K* dV.
 
     W is recovered by staircase integration (integrate the first
@@ -114,7 +104,7 @@ def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, obje
     for i in range(n):
         for j in range(n):
             f = f + k[(i, j)] * Poly.variable(_p(i + 1)) * Poly.variable(_p(j + 1))
-    return PhaseFunction(n, f)
+    return f
 
 
 # ---- functional independence ------------------------------------------
@@ -126,36 +116,34 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, rng.randint(1, 7))
 
 
-def functional_independence(fs: Sequence[PhaseFunction], trials: int = 10,
-                            seed: int = 0) -> int:
-    """Rank of the phase-space Jacobian, maximized over random rational
-    sample points (a stable lower bound for the functional rank).
+_SAMPLE_POINTS = 10
+
+
+def functional_independence(fs: Sequence[Poly], seed: int = 0) -> int:
+    """Rank of the phase-space Jacobian on T*R^n, n the largest index of
+    an x_k or p_k in fs, maximized over at most 10 random rational
+    points (a stable lower bound for the functional rank).
 
     Any non-phase parameters occurring in the functions are also bound
-    to random rationals per trial.  Sampling stops early once the rank
+    to random rationals per point.  Sampling stops early once the rank
     reaches min(len(fs), 2n), or 2n - 1 when fs[0] has a nonzero
     differential and Poisson-commutes with every other function: the
     Hamiltonian field of fs[0] is then in the kernel of the Jacobian
     wherever d fs[0] is nonzero, so every 2n-minor vanishes identically.
     """
-    if not fs:
+    n = max(_phase_indices(fs), default=0)
+    if n == 0:
         return 0
-    n = fs[0].dimension
     phase_vars = [_x(i) for i in range(1, n + 1)] + [_p(i) for i in range(1, n + 1)]
-    params = sorted({v for f in fs for v in f.poly.variables()
-                     if v.ns not in ("x", "p")})
-    jac = [[f.poly.diff(v) for v in phase_vars] for f in fs]
+    params = sorted({v for f in fs for v in f.variables() if v.ns not in ("x", "p")})
+    jac = [[f.diff(v) for v in phase_vars] for f in fs]
     bound = min(len(fs), 2 * n)
-    first = jac[0]
-    # the brackets {fs[0], g} from the Jacobian rows
-    if bound == 2 * n and any(not e.is_zero() for e in first) and all(
-            sum((first[n + k] * row[k] - first[k] * row[n + k] for k in range(n)),
-                Poly.zero()).is_zero()
-            for row in jac[1:]):
+    if (bound == 2 * n and any(not e.is_zero() for e in jac[0])
+            and all(poisson(fs[0], g).is_zero() for g in fs[1:])):
         bound -= 1
     rng = random.Random(seed)
     best = 0
-    for _ in range(trials):
+    for _ in range(_SAMPLE_POINTS):
         point = {v: random_rational(rng) for v in phase_vars}
         point.update({v: random_rational(rng) for v in params})
         rows = [[entry.evaluate(point) for entry in row] for row in jac]

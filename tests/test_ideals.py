@@ -12,7 +12,7 @@ from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 UnitIdeal, ZeroIdeal, buchberger,
                                 haantjes_zero_ideal,
                                 hilbert_dimension, ideal_equal, leading_term,
-                                linear_factor, member, monic, normal_form,
+                                linear_factor, member, normal_form,
                                 primitive_normalized, radical_member,
                                 s_polynomial)
 from haantjeskit.killing import KillingFamily, catalog, killing_space
@@ -25,6 +25,12 @@ B = [var(f"b{i}") for i in range(1, 7)]
 def keyed_poly(terms, order):
     """The Poly of a keyed polynomial, coefficient for coefficient."""
     return Poly({order.monomial(k): q for k, q in terms.items()})
+
+
+def monic(f, order):
+    """f scaled to leading coefficient 1."""
+    _, lc = leading_term(f, order)
+    return f * (1 / lc)
 
 
 def assert_primitive(terms):

@@ -8,18 +8,14 @@ import pytest
 
 from haantjeskit import checks, linalg
 from haantjeskit.killing import catalog
-from haantjeskit.mechanics import (DegenerateK, MechanicsError, NonUniqueSolution,
-                                   NotCompatible, PhaseFunction, abundant_haantjes, build_integral,
+from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
+                                   NotCompatible, abundant_haantjes, build_integral,
                                    condition_6b, functional_independence,
                                    haantjes_at, hamiltonian, poisson,
                                    random_rational, structural_tensor_at)
 from haantjeskit.symalg import Monomial, Poly, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField
 from .test_tensor import identity_operator
-
-
-def phase(n, text):
-    return PhaseFunction(n, parse_poly(text))
 
 
 def catalog_integrals(name):
@@ -30,18 +26,35 @@ def catalog_integrals(name):
     return [hamiltonian(pot, coeffs)] + [build_integral(k, pot, coeffs) for k in fam.basis()]
 
 
+def to_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    return sympy.sympify(str(f).replace("^", "**"))
+
+
 def sympy_jacobian_rank(fs):
-    """Exact rank of the symbolic phase-space Jacobian over Q(x, p, a)."""
+    """Exact rank of the symbolic Jacobian over Q(x, p, a), one column
+    per x or p variable occurring in fs (the others give zero columns)."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    n = fs[0].dimension
-    exprs = [sympy.sympify(str(f.poly).replace("^", "**")) for f in fs]
-    phase_vars = sympy.symbols(f"x1:{n + 1} p1:{n + 1}")
-    jac = sympy.Matrix([[sympy.diff(e, v) for v in phase_vars] for e in exprs])
+    exprs = [to_sympy(f) for f in fs]
     symbols = sorted(set().union(*(e.free_symbols for e in exprs)), key=str)
+    phase_vars = [s for s in symbols if s.name[0] in "xp"]
+    jac = sympy.Matrix([[sympy.diff(e, v) for v in phase_vars] for e in exprs])
     field = sympy.QQ.frac_field(*symbols)
     return DomainMatrix.from_Matrix(jac).convert_to(field).rank()
+
+
+def random_laurent(rng):
+    """Up to 4 terms in x1..x3 (exponents -2..2), p1..p3 (0..2) and
+    a0..a3 (0..1) with small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = {var(f"x{i}"): rng.randint(-2, 2) for i in range(1, 4)}
+        exps.update({var(f"p{i}"): rng.randint(0, 2) for i in range(1, 4)})
+        exps.update({var(f"a{i}"): rng.randint(0, 1) for i in range(4)})
+        terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Poly(terms)
 
 
 @pytest.fixture
@@ -60,33 +73,38 @@ def rank_calls(monkeypatch):
 
 class TestPoisson:
     def test_canonical_pairs(self):
-        assert poisson(phase(2, "x1"), phase(2, "p1")).poly == Poly.const(-1)
-        assert poisson(phase(2, "p1"), phase(2, "x1")).poly == Poly.const(1)
-        assert poisson(phase(2, "x1"), phase(2, "p2")).poly.is_zero()
+        x1, p1, p2 = (parse_poly(t) for t in ("x1", "p1", "p2"))
+        assert poisson(x1, p1) == Poly.const(-1)
+        assert poisson(p1, x1) == Poly.const(1)
+        assert poisson(x1, p2).is_zero()
+
+    def test_only_occurring_indices_count(self):
+        # index 3 occurs in both arguments, index 1 only in the first
+        assert poisson(parse_poly("x3*p1"), parse_poly("p3")) == parse_poly("-p1")
 
     def test_antisymmetry_and_leibniz(self):
-        f, g, h = (phase(2, t) for t in
-                   ("x1^2*p2", "p1*p2 + x2", "x1*x2*p1"))
-        assert (poisson(f, g).poly + poisson(g, f).poly).is_zero()
-        assert poisson(f, PhaseFunction(2, g.poly * h.poly)).poly == \
-            g.poly * poisson(f, h).poly + h.poly * poisson(f, g).poly
+        f, g, h = (parse_poly(t) for t in ("x1^2*p2", "p1*p2 + x2", "x1*x2*p1"))
+        assert (poisson(f, g) + poisson(g, f)).is_zero()
+        assert poisson(f, g * h) == g * poisson(f, h) + h * poisson(f, g)
 
     def test_jacobi(self):
-        f, g, h = (phase(2, t) for t in ("x1*p1", "x2^2", "p1*p2"))
-        total = (poisson(f, poisson(g, h)).poly
-                 + poisson(g, poisson(h, f)).poly
-                 + poisson(h, poisson(f, g)).poly)
+        f, g, h = (parse_poly(t) for t in ("x1*p1", "x2^2", "p1*p2"))
+        total = poisson(f, poisson(g, h)) + poisson(g, poisson(h, f)) + poisson(h, poisson(f, g))
         assert total.is_zero()
 
-    def test_negative_momentum_exponent_rejected(self):
-        # the parser refuses p1^-1, so build it through the trusted constructors
-        p1_inverse = Monomial._raw(((var("p1"), -1),))
-        with pytest.raises(MechanicsError):
-            PhaseFunction(2, Poly._raw({p1_inverse: Fraction(1)}))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(Exception):
-            poisson(phase(2, "x1"), phase(3, "x1"))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sympy(self, seed):
+        """sum_k (df/dp_k dg/dx_k - df/dx_k dg/dp_k) over k = 1..3, by sympy."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        f, g = random_laurent(rng), random_laurent(rng)
+        sf, sg = to_sympy(f), to_sympy(g)
+        expected = 0
+        for k in range(1, 4):
+            x, p = sympy.Symbol(f"x{k}"), sympy.Symbol(f"p{k}")
+            expected += (sympy.diff(sf, p) * sympy.diff(sg, x)
+                         - sympy.diff(sf, x) * sympy.diff(sg, p))
+        assert sympy.expand(to_sympy(poisson(f, g)) - expected) == 0
 
 
 class TestBuildIntegral:
@@ -99,7 +117,7 @@ class TestBuildIntegral:
             [[parse_poly(v) for v in row]
              for row in (["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"])])
         f = build_integral(k, self.pot, self.coeffs)
-        assert f.poly == parse_poly("p1^2 + a1*x1^-2 + a0*x1^2")
+        assert f == parse_poly("p1^2 + a1*x1^-2 + a0*x1^2")
 
     def test_rotational_integral(self):
         k = TensorField.from_matrix(
@@ -109,13 +127,13 @@ class TestBuildIntegral:
         f = build_integral(k, self.pot, self.coeffs)
         expected = parse_poly("x3^2*p1^2 - 2*x1*x3*p1*p3 + x1^2*p3^2"
                               " + a1*x3^2*x1^-2 + a3*x1^2*x3^-2")
-        assert f.poly == expected
+        assert f == expected
 
     def test_commutes_with_hamiltonian(self):
         h = hamiltonian(self.pot, self.coeffs)
         for k in self.fam.basis():
             f = build_integral(k, self.pot, self.coeffs)
-            assert poisson(h, f).poly.is_zero()
+            assert poisson(h, f).is_zero()
 
     def test_incompatible_tensor_rejected(self):
         k = TensorField.from_matrix(
@@ -127,12 +145,21 @@ class TestBuildIntegral:
 
 class TestFunctionalIndependence:
     def test_duplicates_collapse(self):
-        f = phase(2, "p1^2 + x1^2")
-        assert functional_independence([f, f], trials=5, seed=0) == 1
+        f = parse_poly("p1^2 + x1^2")
+        assert functional_independence([f, f], seed=0) == 1
 
     def test_canonical_coordinates(self):
-        fs = [phase(2, t) for t in ("x1", "x2", "p1", "p2")]
-        assert functional_independence(fs, trials=5, seed=0) == 4
+        fs = [parse_poly(t) for t in ("x1", "x2", "p1", "p2")]
+        assert functional_independence(fs, seed=0) == 4
+
+    def test_dimension_is_the_largest_phase_index(self, rank_calls):
+        # n = 1: x1 and p1 reach the plain bound 2n = 2 at the first point
+        assert functional_independence([parse_poly("x1"), parse_poly("p1")]) == 2
+        assert rank_calls == [2]
+
+    def test_no_phase_variable_has_rank_zero(self):
+        assert functional_independence([]) == 0
+        assert functional_independence([parse_poly("a1 + 2")]) == 0
 
     def test_radial_system_rank(self):
         pot, _ = catalog()["nonmaximal-3d"]
@@ -145,8 +172,8 @@ class TestFunctionalIndependence:
             ks.append(TensorField.from_matrix(rows))
         fs = [build_integral(k, pot, coeffs) for k in ks]
         # H = F1 + F2 + F3, so adding H does not raise the rank.
-        assert functional_independence(fs, trials=10, seed=0) == 3
-        assert functional_independence([h] + fs, trials=10, seed=0) == 3
+        assert functional_independence(fs, seed=0) == 3
+        assert functional_independence([h] + fs, seed=0) == 3
 
     def test_radial_rank_matches_sympy_jacobian(self):
         """{H, F1, F2, F3, F5}: the exact rank of the symbolic Jacobian
@@ -155,8 +182,7 @@ class TestFunctionalIndependence:
         fs = [hamiltonian(pot, coeffs)] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
         rank = sympy_jacobian_rank(fs)
         assert rank == 4
-        assert functional_independence(fs, trials=10, seed=0) == rank
-
+        assert functional_independence(fs, seed=0) == rank
 
     @pytest.mark.parametrize("name", ["sw1", "oscillator", "oo", "iv"])
     def test_catalog_rank_matches_sympy_jacobian(self, name):
@@ -173,18 +199,25 @@ class TestFunctionalIndependence:
 
     def test_other_inputs_keep_the_plain_bound(self, rank_calls):
         # x1 does not commute with p1: no bound below 2n = 4
-        fs = [phase(2, t) for t in ("x1", "x2", "p1", "p2", "x1*p2")]
+        fs = [parse_poly(t) for t in ("x1", "x2", "p1", "p2", "x1*p2")]
         assert functional_independence(fs, seed=0) == 4
         assert rank_calls == [4]
 
     def test_constant_first_function_gets_no_bound(self, monkeypatch):
         # a constant commutes with everything but has no Hamiltonian
         # field, so a first sample of rank 2n - 1 must not end the search
-        fs = [phase(2, t) for t in ("1", "x1", "x2", "p1", "p2")]
+        fs = [parse_poly(t) for t in ("1", "x1", "x2", "p1", "p2")]
         assert functional_independence(fs, seed=0) == 4
         ranks = iter([3, 4])
         monkeypatch.setattr(linalg, "rank", lambda rows: next(ranks))
         assert functional_independence(fs, seed=0) == 4
+
+    def test_samples_at_most_ten_points(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(rows) or 0)
+        assert functional_independence([parse_poly("x1*p1")], seed=0) == 0
+        assert len(calls) == 10
+
 
 class TestStructuralTensor:
     def test_oscillator_vanishes(self):

@@ -355,6 +355,8 @@ class TestCanonicalResults:
         b1 = var("b1")
         with pytest.raises(ValueError):
             Monomial({b1: -1})
+        with pytest.raises(ValueError):
+            Monomial({var("p1"): -1})
         m = Monomial.of(b1)
         assert Poly({m: 0}).terms == {}
         stored = Poly({m: 1}).terms[m]
