@@ -96,6 +96,14 @@ def system_radical(name: str) -> Radical:
                    tuple(str(f) for f in linear_factor(g)))
 
 
+def system_integrals(name: str) -> Tuple[Poly, Dict[str, Poly]]:
+    """H and the integral of each coefficient tensor of a catalog
+    system's family, labelled F<index> after its parameter, in order."""
+    pot, fam = catalog()[name]
+    return hamiltonian(pot), {f"F{p.index}": build_integral(k, pot)
+                              for p, k in zip(fam.params, fam.basis())}
+
+
 # Solution branches of {J = 0}: each entry substitutes parameters and
 # must annihilate J identically.  The generic branch solves J for b1
 # with denominator (b4 - b5)*b6 and is verified as a cleared identity.
@@ -146,12 +154,12 @@ class CheckResult:
     """Outcome of one named check."""
 
     def __init__(self, name: str, verdict: str, detail: str,
-                 payload: Optional[Dict[str, object]] = None, seconds: float = 0.0):
+                 payload: Optional[Dict[str, object]] = None):
         self.name = name
         self.verdict = verdict  # "pass" | "fail" | "evidence-only"
         self.detail = detail
         self.payload = {} if payload is None else payload
-        self.seconds = seconds
+        self.seconds = 0.0  # set by run_check
 
     def to_json_obj(self) -> Dict[str, object]:
         return {
@@ -190,6 +198,18 @@ def sw1_reference_ideal() -> Ideal:
 # ---- Hessian operator fields ------------------------------------------
 
 
+def _component_label(tag: str, n: int, i: int, j: int, k: int) -> str:
+    """The label tag^i_jk of a (1,2) component on R^n, 1-based; for n >= 10
+    with a comma, tag^i_j,k, since jk is ambiguous with two digits."""
+    return f"{tag}^{i}_{j}{',' if n >= 10 else ''}{k}"
+
+
+def _nonzero_components(tag: str, t: TensorField) -> Dict[str, str]:
+    """The nonzero components of a (1,2) tensor, printed, by label."""
+    return {_component_label(tag, t.n, i + 1, j + 1, k + 1): str(t[(i, j, k)])
+            for (i, j, k) in t.indices() if not t[(i, j, k)].is_zero()}
+
+
 def check_hessian_cubic() -> CheckResult:
     """haantjes(hessian(x1^3)) = 0 and the four coordinate/generator
     conservation laws hold."""
@@ -218,8 +238,7 @@ def check_hessian_mixed() -> CheckResult:
         3, (1, 2),
         lambda idx: claim if (idx[1], idx[2]) == (2, 1)
         else -claim if (idx[1], idx[2]) == (1, 2) else Poly.zero())
-    nonzero = {f"H^{i+1}_{j+1}{k+1}": str(h[(i, j, k)])
-               for (i, j, k) in h.indices() if not h[(i, j, k)].is_zero()}
+    nonzero = _nonzero_components("H", h)
     ok = h == expected
     return CheckResult(
         name="hessian-mixed-component-table",
@@ -245,17 +264,13 @@ def check_hessian_torsion(poly_text: str, n: int) -> CheckResult:
                             for u in generators]
     n_t = nijenhuis(op)
     h_t = haantjes(op)
-    payload["nijenhuis_nonzero"] = {
-        f"N^{i+1}_{j+1}{k+1}": str(n_t[(i, j, k)])
-        for (i, j, k) in n_t.indices() if not n_t[(i, j, k)].is_zero()}
-    payload["haantjes_nonzero"] = {
-        f"H^{i+1}_{j+1}{k+1}": str(h_t[(i, j, k)])
-        for (i, j, k) in h_t.indices() if not h_t[(i, j, k)].is_zero()}
+    payload["nijenhuis_nonzero"] = _nonzero_components("N", n_t)
+    payload["haantjes_nonzero"] = _nonzero_components("H", h_t)
     zero, witness = is_haantjes_zero(op)
     payload["haantjes_zero"] = zero
     if witness is not None:
         i, j, k, component = witness
-        payload["witness"] = f"H^{i}_{j}{k} = {component}"
+        payload["witness"] = f"{_component_label('H', n, i, j, k)} = {component}"
     return CheckResult(name="hessian-torsion", verdict="evidence-only",
                        detail=("Haantjes torsion vanishes" if zero else
                                "Haantjes torsion is nonzero"),
@@ -472,29 +487,17 @@ def check_oo_iv_radicals() -> CheckResult:
 # ---- the non-maximal radial system ------------------------------------
 
 
-def _nonmaximal_integrals():
-    """The integral of each coefficient tensor of the catalog family,
-    labelled F1, F2, F3, F5 after its parameter."""
-    pot, fam = catalog()["nonmaximal-3d"]
-    coeffs = {r: Poly.variable(var(f"a{r}")) for r in range(4)}
-    integrals = {f"F{p.index}": build_integral(k, pot, coeffs)
-                 for p, k in zip(fam.params, fam.basis())}
-    return pot, coeffs, integrals
-
-
 def check_nonmaximal_mechanics(seed: int = 0) -> CheckResult:
     """The radial system with inverse-square wall terms: the four
     reference integrals are reproduced exactly, Poisson-commute with
     the Hamiltonian, the joint rank of {H, F1, F2, F3, F5} is 5, and
     the four-parameter Killing family is identically Haantjes-zero."""
-    pot, coeffs, integrals = _nonmaximal_integrals()
+    h, integrals = system_integrals("nonmaximal-3d")
     goldens = {label: integrals[label] == parse_poly(text)
                for label, text in F_GOLDENS.items()}
-    h = hamiltonian(pot, coeffs)
     commute = {label: poisson(h, f).is_zero()
                for label, f in integrals.items()}
-    fs = [h] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
-    rank = functional_independence(fs, seed=seed)
+    rank = functional_independence([h, *integrals.values()], seed=seed)
     # the family's torsion vanishes exactly when its ideal has no generator
     family_zero = not system_ideal("nonmaximal-3d").generators
     ok = (all(goldens.values()) and all(commute.values())
@@ -723,17 +726,13 @@ def _action_linear(name: str, radical: Optional[str], seed: int) -> CheckResult:
 
 
 def _action_mechanics(name: str, radical: Optional[str], seed: int) -> CheckResult:
-    pot, fam = catalog()[name]
-    coeffs = {r: Poly.variable(var(f"a{r}"))
-              for r in range(len(pot.generators))}
-    h = hamiltonian(pot, coeffs)
-    integrals = [build_integral(k, pot, coeffs) for k in fam.basis()]
-    commute = [poisson(h, f).is_zero() for f in integrals]
-    rank = functional_independence([h] + integrals, seed=seed)
+    h, integrals = system_integrals(name)
+    commute = [poisson(h, f).is_zero() for f in integrals.values()]
+    rank = functional_independence([h, *integrals.values()], seed=seed)
     return CheckResult(
         name=f"{name}-mechanics", verdict=_verdict(all(commute)),
         detail="all family integrals Poisson-commute with the Hamiltonian",
-        payload={"integrals": [str(f) for f in integrals],
+        payload={"integrals": [str(f) for f in integrals.values()],
                  "poisson_commute": commute,
                  "functional_rank": rank})
 

@@ -29,11 +29,11 @@ from .tensor import TensorError
 class Report:
     """Aggregated outcome of one command invocation."""
 
-    def __init__(self, version: str, command: str, checks: List[CheckResult], seconds: float):
-        self.version = version
+    def __init__(self, command: str, checks: List[CheckResult]):
+        self.version = __version__
         self.command = command
         self.checks = checks
-        self.seconds = seconds
+        self.seconds = round(sum(c.seconds for c in checks), 3)
 
     def ok(self) -> bool:
         return all(c.verdict != "fail" for c in self.checks)
@@ -57,28 +57,23 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _report(command: str, results: List[CheckResult]) -> Report:
-    return Report(version=__version__, command=command, checks=results,
-                  seconds=round(sum(c.seconds for c in results), 3))
-
-
 def cmd_hessian(poly_text: str, n: int) -> Report:
     """Describe the Hessian operator of a polynomial on R^n."""
     result = checks.run_check(checks.check_hessian_torsion, poly_text, n)
-    return _report(f"hessian --poly {poly_text!r} --dim {n}", [result])
+    return Report(f"hessian --poly {poly_text!r} --dim {n}", [result])
 
 
 def cmd_system(name: str, actions: Sequence[str], seed: int = 0) -> Report:
     """Run the selected analysis pipelines for a catalog system; all
     actions are validated before any runs."""
     actions = checks.system_actions(name, actions)
-    return _report(f"system --system {name} {' '.join(actions)}",
-                   checks.run_system(name, actions, seed=seed))
+    return Report(f"system --system {name} {' '.join(actions)}",
+                  checks.run_system(name, actions, seed=seed))
 
 
 def cmd_reproduce(seed: int = 0) -> Report:
     """Run the complete verification suite in fixed order."""
-    return _report(f"reproduce --seed {seed}", checks.run_all(seed=seed))
+    return Report(f"reproduce --seed {seed}", checks.run_all(seed=seed))
 
 
 # ---- entry point ------------------------------------------------------

@@ -35,8 +35,7 @@ class KillingFamily:
     b-parameters and polynomial in x.  The basis is computed once, on
     first use, so do not modify the tensor after that."""
 
-    def __init__(self, dimension: int, params: Tuple[VarId, ...], tensor: TensorField):
-        self.dimension = dimension
+    def __init__(self, params: Tuple[VarId, ...], tensor: TensorField):
         self.params = params
         self.tensor = tensor
         self._basis: Optional[Tuple[TensorField, ...]] = None
@@ -69,10 +68,10 @@ class KillingFamily:
 
 
 class PotentialSpec:
-    """Named list of conservation-law generators (potential terms)."""
+    """The conservation-law generators (potential terms) of a potential
+    on R^n, n = dimension."""
 
-    def __init__(self, name: str, dimension: int, generators: List[Poly]):
-        self.name = name
+    def __init__(self, dimension: int, generators: List[Poly]):
         self.dimension = dimension
         self.generators = generators
 
@@ -212,7 +211,7 @@ def compatible_family(pot: PotentialSpec) -> KillingFamily:
 
     elements = _solve(n, killing_space(n), residuals)
     for _, fam in catalog().values():
-        if (fam.dimension == n and len(fam.params) == len(elements)
+        if (fam.tensor.n == n and len(fam.params) == len(elements)
                 and span_equal(fam.basis(), elements)):
             return fam
 
@@ -220,7 +219,7 @@ def compatible_family(pot: PotentialSpec) -> KillingFamily:
     total = TensorField.zero(n, (0, 2))
     for p, t in zip(params, elements):
         total = total + t.map(lambda c, p=p: c * Poly.variable(p))
-    return KillingFamily(dimension=n, params=params, tensor=total)
+    return KillingFamily(params=params, tensor=total)
 
 
 # ---- potential catalog ------------------------------------------------
@@ -259,9 +258,8 @@ _CATALOG_TABLE = {
 def catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
     """Potential catalog: name -> (potential, conventional family)."""
     return {
-        name: (PotentialSpec(name=name, dimension=3,
-                             generators=[parse_poly(g) for g in gens]),
-               KillingFamily(dimension=3, params=tuple(VarId("b", i) for i in params),
+        name: (PotentialSpec(dimension=3, generators=[parse_poly(g) for g in gens]),
+               KillingFamily(params=tuple(VarId("b", i) for i in params),
                              tensor=TensorField.from_matrix(
                                  [[parse_poly(e) for e in row] for row in rows])))
         for name, (gens, params, rows) in _CATALOG_TABLE.items()}

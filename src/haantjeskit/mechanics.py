@@ -7,13 +7,16 @@ Phase functions are plain Polys on T*R^n: Laurent in the positions
 x1..xn, polynomial in the momenta p1..pn (Monomial rejects a negative
 momentum exponent).  No dimension is stored; n is read off as the
 largest index of an x_k or p_k that occurs.
+
+There is one potential, the generic V = sum_r a_r * g_r over the
+generators g_r of a PotentialSpec (a0 for the first), so H = sum p_k^2 + V.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .symalg import Poly, VarId
@@ -64,33 +67,33 @@ def poisson(f: Poly, g: Poly) -> Poly:
 # ---- integrals of motion ----------------------------------------------
 
 
-def potential_from_coefficients(pot: PotentialSpec, coeffs: Mapping[int, object]) -> Poly:
-    """Linear combination sum_r coeffs[r] * generator[r] (0-based r)."""
+def _potential(pot: PotentialSpec) -> Poly:
+    """The generic potential sum_r a_r * generator[r] (0-based r)."""
     v = Poly.zero()
-    for r, c in coeffs.items():
-        v = v + Poly._coerce(c) * pot.generators[r]
+    for r, g in enumerate(pot.generators):
+        v = v + Poly.variable(VarId("a", r)) * g
     return v
 
 
-def hamiltonian(pot: PotentialSpec, coeffs: Mapping[int, object]) -> Poly:
-    """H = sum p_k^2 + V for the combined potential."""
-    n = pot.dimension
-    h = potential_from_coefficients(pot, coeffs)
-    for k in range(1, n + 1):
+def hamiltonian(pot: PotentialSpec) -> Poly:
+    """H = sum p_k^2 + V for the generic potential V of pot."""
+    h = _potential(pot)
+    for k in range(1, pot.dimension + 1):
         h = h + Poly.variable(_p(k)) ** 2
     return h
 
 
-def build_integral(k: TensorField, pot: PotentialSpec, coeffs: Mapping[int, object]) -> Poly:
-    """Second-order integral K^{ij} p_i p_j + W with dW = K* dV.
+def build_integral(k: TensorField, pot: PotentialSpec) -> Poly:
+    """Second-order integral K^{ij} p_i p_j + W with dW = K* dV, V the
+    generic potential of pot.
 
     W is recovered by staircase integration (integrate the first
-    component in x1, correct, continue); compatibility of K with the
-    combined potential is checked first and the reconstructed W is
-    verified to differentiate back to K* dV exactly.
+    component in x1, correct, continue); compatibility of K with V is
+    checked first and the reconstructed W is verified to differentiate
+    back to K* dV exactly.
     """
     n = k.n
-    v = potential_from_coefficients(pot, coeffs)
+    v = _potential(pot)
     omega = pullback_differential(as_operator(k), v)
     if not exterior_derivative(omega).is_zero():
         raise NotCompatible("d(K*dV) != 0: the tensor is not compatible with this potential")
@@ -197,7 +200,7 @@ def structural_tensor_at(family: KillingFamily, x0: Sequence[Fraction]) -> Struc
     basis element, one column per symmetric component pair) to be
     square and invertible.
     """
-    n = family.dimension
+    n = family.tensor.n
     basis = family.basis()
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     if len(basis) != len(pairs):

@@ -261,9 +261,7 @@ class Poly:
         return cls.term(Monomial.one(), q)
 
     @classmethod
-    def variable(cls, v: Union[VarId, str], e: int = 1) -> "Poly":
-        if isinstance(v, str):
-            v = var(v)
+    def variable(cls, v: VarId, e: int = 1) -> "Poly":
         return cls._raw({Monomial.of(v, e): Fraction(1)})
 
     @classmethod

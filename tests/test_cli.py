@@ -1,10 +1,13 @@
 """Command-line front end: reports, exit codes, JSON stability."""
 
 import hashlib
+import itertools
 import json
 import random
 import subprocess
 import sys
+import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +17,10 @@ import haantjeskit
 from haantjeskit import checks
 from haantjeskit.checks import CheckResult
 from haantjeskit.cli import UnknownSystem, cmd_hessian, cmd_system, main
+from haantjeskit.haantjes import haantjes, nijenhuis
 from haantjeskit.killing import catalog
 from haantjeskit.symalg import Poly, parse_poly, var
+from haantjeskit.tensor import hessian_operator
 
 from .test_symalg import INT_DIGIT_LIMIT
 
@@ -70,6 +75,21 @@ class TestHessianCommand:
     def test_negative_exponent_report(self):
         report = cmd_hessian("x1^2 + x2^2", 2)
         assert report.checks[0].payload["haantjes_zero"] is True
+
+    def test_two_digit_indices_keep_every_component(self):
+        # without a separator H^1_(1,11) and H^1_(11,1) would both be
+        # labelled H^1_111; from n = 10 on the lower indices take a comma
+        f = parse_poly("x1*x11^2 + x11*x1^2 + x2*x11*x1")
+        payload = checks.check_hessian_torsion(str(f), 11).payload
+        op = hessian_operator(f, 11)
+        for tag, table, tensor, count in (("N", "nijenhuis_nonzero", nijenhuis(op), 18),
+                                          ("H", "haantjes_nonzero", haantjes(op), 6)):
+            expected = {f"{tag}^{i + 1}_{j + 1},{k + 1}": str(tensor[(i, j, k)])
+                        for (i, j, k) in tensor.indices()
+                        if not tensor[(i, j, k)].is_zero()}
+            assert len(expected) == count
+            assert payload[table] == expected
+        assert payload["witness"].startswith("H^1_2,11 = ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -242,6 +262,43 @@ class TestStdlibOnly:
         # `dataclasses` pulls in inspect, ast, dis and tokenize, close to
         # a fifth of every command's start-up
         assert {"dataclasses", "inspect"}.isdisjoint(probe_loaded)
+
+
+class TestOneClock:
+    """checks.run_check is the one place where timing is recorded."""
+
+    def test_direct_call_reports_zero(self):
+        assert checks.check_sw1_branches().seconds == 0.0
+        assert checks.check_hessian_torsion("x1^3", 3).seconds == 0.0
+
+    def test_run_check_records_the_wall_time(self):
+        def slow():
+            time.sleep(0.02)
+            return CheckResult("slow", "pass", "")
+        t0 = time.perf_counter()
+        result = checks.run_check(slow)
+        assert 0.02 <= result.seconds <= time.perf_counter() - t0
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: cmd_hessian("x1^3", 3), 1),
+        (lambda: cmd_system("sw1", ["branches", "dimension"]), 2),
+    ], ids=["hessian", "system"])
+    def test_every_check_of_a_report_is_timed_by_run_check(self, make, count,
+                                                           monkeypatch):
+        ticks = itertools.count(step=0.25)
+        monkeypatch.setattr(checks, "time",
+                            types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        report = make()
+        assert [c.seconds for c in report.checks] == [0.25] * count
+        assert report.seconds == 0.25 * count
+
+    def test_report_seconds_and_version(self):
+        report = cmd_system("sw1", ["branches", "dimension"])
+        assert all(c.seconds > 0 for c in report.checks)
+        assert report.seconds == round(sum(c.seconds for c in report.checks), 3)
+        assert report.version == haantjeskit.__version__
+        obj = json.loads(report.to_json())
+        assert (obj["seconds"], obj["version"]) == (report.seconds, haantjeskit.__version__)
 
 
 class TestCheckResult:

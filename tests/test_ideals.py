@@ -504,7 +504,7 @@ def seeded_family(seed):
     for b, k in zip(params, rng.sample(killing_space(3), len(params))):
         c = Poly.variable(b) * rng.choice((-2, -1, 1, 2))
         tensor = tensor + k.map(lambda e: e * c)
-    return KillingFamily(dimension=3, params=params, tensor=tensor)
+    return KillingFamily(params=params, tensor=tensor)
 
 
 def all_components_generators(family):

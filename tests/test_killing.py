@@ -118,8 +118,7 @@ class TestCompatibleFamilies:
         # The metric and the coordinate squares survive for a generic
         # potential; a full Killing basis always admits at least the
         # metric itself, so the family is never empty here.
-        pot = PotentialSpec(name="cubic", dimension=3,
-                            generators=[parse_poly("x1^3 + x2")])
+        pot = PotentialSpec(dimension=3, generators=[parse_poly("x1^3 + x2")])
         fam = compatible_family(pot)
         assert len(fam.params) == 5
 
@@ -128,10 +127,10 @@ class TestCompatibleFamilies:
         (2, ["x1^2 + x2^2", "x1^-2", "x2^-2"], 3),
     ], ids=["sw4-R4", "sw-R2"])
     def test_family_on_the_potentials_dimension(self, dimension, generators, params):
-        pot = PotentialSpec(name=f"sw-R{dimension}", dimension=dimension,
+        pot = PotentialSpec(dimension=dimension,
                             generators=[parse_poly(g) for g in generators])
         fam = compatible_family(pot)
-        assert fam.dimension == dimension and len(fam.params) == params
+        assert fam.tensor.n == dimension and len(fam.params) == params
         for k in fam.basis():
             assert killing_residual(k).is_zero()
             for u in pot.generators:
@@ -144,17 +143,17 @@ def seeded_potential(seed):
     rng = random.Random(seed)
     gens = [" + ".join(f"{rng.randint(1, 4)}*x{i}^2" for i in (1, 2, 3))]
     gens += [f"x{rng.randint(1, 3)}^{rng.choice([-2, 1])}" for _ in range(2)]
-    return PotentialSpec(name=f"seeded-{seed}", dimension=3,
-                         generators=[parse_poly(g) for g in gens])
+    return PotentialSpec(dimension=3, generators=[parse_poly(g) for g in gens])
 
 
 class TestSympyOracle:
     """compatible_family against sympy's nullspace of the conservation
     conditions d(K dU) = 0 on a generic combination of killing_space(3)."""
 
-    @pytest.mark.parametrize("pot", [pot for pot, _ in catalog().values()]
-                             + [seeded_potential(seed) for seed in range(3)],
-                             ids=lambda pot: pot.name)
+    @pytest.mark.parametrize("pot", [pytest.param(pot, id=name)
+                                     for name, (pot, _) in catalog().items()]
+                             + [pytest.param(seeded_potential(seed), id=f"seeded-{seed}")
+                                for seed in range(3)])
     def test_nullspace_matches_family(self, pot):
         sympy = pytest.importorskip("sympy")
         xs = sympy.symbols("x1:4")

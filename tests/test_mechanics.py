@@ -20,10 +20,9 @@ from .test_tensor import identity_operator
 
 def catalog_integrals(name):
     """{H} and the integral of every basis tensor of the catalog family,
-    as the generic `mechanics` action builds them."""
-    pot, fam = catalog()[name]
-    coeffs = {r: Poly.variable(var(f"a{r}")) for r in range(len(pot.generators))}
-    return [hamiltonian(pot, coeffs)] + [build_integral(k, pot, coeffs) for k in fam.basis()]
+    as the `mechanics` action and check build them."""
+    h, integrals = checks.system_integrals(name)
+    return [h] + list(integrals.values())
 
 
 def to_sympy(f):
@@ -110,13 +109,12 @@ class TestPoisson:
 class TestBuildIntegral:
     def setup_method(self):
         self.pot, self.fam = catalog()["nonmaximal-3d"]
-        self.coeffs = {r: Poly.variable(var(f"a{r}")) for r in range(4)}
 
     def test_first_coordinate_integral(self):
         k = TensorField.from_matrix(
             [[parse_poly(v) for v in row]
              for row in (["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"])])
-        f = build_integral(k, self.pot, self.coeffs)
+        f = build_integral(k, self.pot)
         assert f == parse_poly("p1^2 + a1*x1^-2 + a0*x1^2")
 
     def test_rotational_integral(self):
@@ -124,15 +122,15 @@ class TestBuildIntegral:
             [[parse_poly(v) for v in row]
              for row in (["x3^2", "0", "-x1*x3"], ["0", "0", "0"],
                          ["-x1*x3", "0", "x1^2"])])
-        f = build_integral(k, self.pot, self.coeffs)
+        f = build_integral(k, self.pot)
         expected = parse_poly("x3^2*p1^2 - 2*x1*x3*p1*p3 + x1^2*p3^2"
                               " + a1*x3^2*x1^-2 + a3*x1^2*x3^-2")
         assert f == expected
 
     def test_commutes_with_hamiltonian(self):
-        h = hamiltonian(self.pot, self.coeffs)
+        h = hamiltonian(self.pot)
         for k in self.fam.basis():
-            f = build_integral(k, self.pot, self.coeffs)
+            f = build_integral(k, self.pot)
             assert poisson(h, f).is_zero()
 
     def test_incompatible_tensor_rejected(self):
@@ -140,7 +138,39 @@ class TestBuildIntegral:
             [[parse_poly(v) for v in row]
              for row in (["x2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"])])
         with pytest.raises(NotCompatible):
-            build_integral(k, self.pot, self.coeffs)
+            build_integral(k, self.pot)
+
+
+class TestCatalogMechanicsOracle:
+    """H and the family integrals of every catalog system, as
+    `checks.system_integrals` builds them for the `mechanics` action and
+    check, against sympy: H = sum p_k^2 + sum_r a_r g_r, each integral
+    minus K^{ij} p_i p_j is a momentum-free W with
+    dW/dx_i = sum_a K_ai dV/dx_a, and {H, F} = 0."""
+
+    @pytest.mark.parametrize("name", list(catalog()))
+    def test_hamiltonian_and_integrals(self, name):
+        sympy = pytest.importorskip("sympy")
+        xs, ps = sympy.symbols("x1:4"), sympy.symbols("p1:4")
+        pot, fam = catalog()[name]
+        h, integrals = checks.system_integrals(name)
+        assert list(integrals) == [f"F{p.index}" for p in fam.params]
+        v = sum(sympy.Symbol(f"a{r}") * to_sympy(g) for r, g in enumerate(pot.generators))
+        sh = to_sympy(h)
+        assert sympy.expand(sh - sum(p ** 2 for p in ps) - v) == 0
+        for k, f in zip(fam.basis(), integrals.values()):
+            km = [[to_sympy(k[(i, j)]) for j in range(3)] for i in range(3)]
+            sf = to_sympy(f)
+            w = sympy.expand(sf - sum(km[i][j] * ps[i] * ps[j]
+                                      for i in range(3) for j in range(3)))
+            assert not w.free_symbols & set(ps)
+            for i in range(3):
+                dv = sum(km[a][i] * sympy.diff(v, xs[a]) for a in range(3))
+                assert sympy.expand(sympy.diff(w, xs[i]) - dv) == 0
+            bracket = sum(sympy.diff(sh, ps[i]) * sympy.diff(sf, xs[i])
+                          - sympy.diff(sh, xs[i]) * sympy.diff(sf, ps[i])
+                          for i in range(3))
+            assert sympy.expand(bracket) == 0
 
 
 class TestFunctionalIndependence:
@@ -163,14 +193,13 @@ class TestFunctionalIndependence:
 
     def test_radial_system_rank(self):
         pot, _ = catalog()["nonmaximal-3d"]
-        coeffs = {r: Poly.variable(var(f"a{r}")) for r in range(4)}
-        h = hamiltonian(pot, coeffs)
+        h = hamiltonian(pot)
         ks = []
         for diag in (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")):
             rows = [[parse_poly(diag[i]) if i == j else Poly.zero()
                      for j in range(3)] for i in range(3)]
             ks.append(TensorField.from_matrix(rows))
-        fs = [build_integral(k, pot, coeffs) for k in ks]
+        fs = [build_integral(k, pot) for k in ks]
         # H = F1 + F2 + F3, so adding H does not raise the rank.
         assert functional_independence(fs, seed=0) == 3
         assert functional_independence([h] + fs, seed=0) == 3
@@ -178,8 +207,7 @@ class TestFunctionalIndependence:
     def test_radial_rank_matches_sympy_jacobian(self):
         """{H, F1, F2, F3, F5}: the exact rank of the symbolic Jacobian
         over Q(x, p, a), by sympy, equals the sampled in-repo rank."""
-        pot, coeffs, integrals = checks._nonmaximal_integrals()
-        fs = [hamiltonian(pot, coeffs)] + [integrals[k] for k in ("F1", "F2", "F3", "F5")]
+        fs = catalog_integrals("nonmaximal-3d")
         rank = sympy_jacobian_rank(fs)
         assert rank == 4
         assert functional_independence(fs, seed=0) == rank
