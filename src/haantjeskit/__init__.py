@@ -10,9 +10,8 @@ from .symalg import (Monomial, Poly, VarId, parse_poly, var,
 from .tensor import TensorField, hessian_operator, partial_derivative
 from .haantjes import (as_operator, conservation_check, haantjes,
                        is_haantjes_zero, nijenhuis)
-from .killing import (KillingFamily, PotentialSpec, UnsupportedDimension,
-                      catalog, compatible_family, killing_residual,
-                      killing_space)
+from .killing import (KillingFamily, PotentialSpec, catalog,
+                      compatible_family, killing_residual, killing_space)
 from .ideals import (Ideal, MonomialOrder, UnitIdeal, ZeroIdeal, buchberger,
                      haantjes_zero_ideal, hilbert_dimension, ideal_equal,
                      linear_factor, member, normal_form, radical_member)

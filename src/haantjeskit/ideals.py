@@ -56,7 +56,7 @@ Terms = Dict[Key, int]
 class MonomialOrder:
     """Graded reverse lexicographic order on a fixed variable sequence:
     graded, ties broken by the smallest exponent in the last differing
-    variable.  Equal and hashed by its variables."""
+    variable."""
 
     def __init__(self, variables: Sequence[VarId]):
         variables = self.variables = tuple(variables)
@@ -65,15 +65,6 @@ class MonomialOrder:
         # (key index, variable) in the canonical variable order of Monomial
         self._canon = tuple(sorted(((n - i, v) for i, v in enumerate(variables)),
                                    key=lambda iv: _var_key(iv[1])))
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.variables == other.variables
-
-    def __hash__(self):
-        return hash(self.variables)
-
-    def __repr__(self):
-        return f"MonomialOrder(variables={self.variables!r})"
 
     def exp_vector(self, m: Monomial) -> Tuple[int, ...]:
         vec = [0] * len(self.variables)
@@ -326,10 +317,6 @@ class Ideal:
         self._basis: Optional[List[Poly]] = None
         # the same basis keyed, with its leading keys
         self._keyed: Optional[Tuple[List[Terms], List[Key]]] = None
-
-    def __eq__(self, other):
-        return (isinstance(other, Ideal) and self.generators == other.generators
-                and self.order == other.order)
 
     def groebner(self) -> List[Poly]:
         """Reduced Groebner basis (cached; write-once)."""

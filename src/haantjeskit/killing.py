@@ -26,10 +26,6 @@ class KillingError(Exception):
     pass
 
 
-class UnsupportedDimension(KillingError):
-    pass
-
-
 class KillingFamily:
     """Linear family of Killing tensors, components linear in the
     b-parameters and polynomial in x.  The basis is computed once, on
@@ -156,7 +152,8 @@ def killing_residual(k: TensorField) -> TensorField:
 
 @functools.cache
 def killing_space(n: int) -> Tuple[TensorField, ...]:
-    """Exact basis of all valence-2 Killing tensors on flat R^n.
+    """Exact basis of all valence-2 Killing tensors on flat R^n, for
+    any n >= 1: n(n+1)^2(n+2)/12 elements.
 
     Solves the Killing equation on the degree-<=2 component ansatz; the
     basis is returned in reduced echelon form over the documented
@@ -165,8 +162,8 @@ def killing_space(n: int) -> Tuple[TensorField, ...]:
     once per n and process and shared: the basis is a tuple, but the
     tensors in it are not frozen, so do not modify them.
     """
-    if n not in (2, 3, 4):
-        raise UnsupportedDimension(f"killing_space supports n in 2..4, got {n}")
+    if n < 1:
+        raise KillingError(f"killing_space needs n >= 1, got {n}")
     xs = [Monomial.of(_x(i + 1)) for i in range(n)]
     monos = [Monomial.one()] + xs + [a * b for a, b in
                                      itertools.combinations_with_replacement(xs, 2)]

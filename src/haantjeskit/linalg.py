@@ -97,22 +97,6 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.  Use `rank` to decide uniqueness.
-    """
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][-1]
-    return x
-
-
 def row_space_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
     """Whether two row sets span the same subspace."""
     ra, pa = rref(a)

@@ -278,14 +278,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not m.exps for m in self.terms)
 
-    def as_fraction(self) -> Fraction:
-        """Value of a constant polynomial."""
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
-
     def variables(self) -> Tuple[VarId, ...]:
         seen = set()
         for m in self.terms:
@@ -426,19 +418,18 @@ class Poly:
         return {m: Poly._raw(terms) for m, terms in groups.items()}
 
     def evaluate(self, point: Mapping[VarId, Scalar]) -> Fraction:
-        """Evaluate at a rational point binding every variable.
+        """Evaluate at a rational point that binds every variable
+        occurring in the polynomial.
 
         Raises NonInvertibleSubstitution for a negative power of a
-        variable bound to 0, and ValueError if the value still depends
-        on a variable the point leaves unbound.
+        variable bound to 0, and ValueError for an occurring variable
+        the point leaves unbound, even where its terms would cancel.
         """
         total = Fraction(0)
         for m, q in self.terms.items():
             for v, e in m.exps:
                 if v not in point:
-                    # constant only if the unbound terms cancel
-                    binds = {w: Poly.const(x) for w, x in point.items()}
-                    return self.substitute(binds).as_fraction()
+                    raise ValueError(f"{v} occurs but is not bound by the point")
                 if e > 0:
                     q *= point[v] ** e
                 elif point[v]:

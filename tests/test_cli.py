@@ -207,6 +207,16 @@ class TestSystemTable:
             assert set(overrides) <= set(checks.SYSTEM_ACTIONS)
             assert set(overrides.values()) <= set(registered)
 
+    def test_seeded_checks_are_those_taking_a_seed(self):
+        # run_named passes the seed only to _SEEDED, so a randomized
+        # check missing from it would silently ignore reproduce --seed
+        def takes_seed(fn):
+            code = fn.__code__
+            return "seed" in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+
+        registered = checks.ALL_CHECKS + checks.SYSTEM_CHECKS
+        assert checks._SEEDED == {name for name, fn in registered if takes_seed(fn)}
+
 
 class TestReproduce:
     def test_full_suite(self, capsys):

@@ -63,20 +63,11 @@ class TestMonomialOrder:
         assert coeff == Fraction(-7)
         assert mono == Monomial.of(var("b3"), 3)
 
-    def test_position_map_is_invisible(self):
-        a, b = border(2), border(2)
-        assert a == b and hash(a) == hash(b)
-        assert repr(a) == ("MonomialOrder(variables=(VarId(ns='b', index=1), "
-                           "VarId(ns='b', index=2)))")
+    def test_extend_appends_a_variable(self):
+        a = border(2)
         ext = a.extend(var("t1"))
-        assert ext == MonomialOrder((B[0], B[1], var("t1"))) != a
+        assert ext.variables == (B[0], B[1], var("t1")) and a.variables == (B[0], B[1])
         assert ext.exp_vector(next(iter(parse_poly("b2*t1^3").terms))) == (0, 1, 3)
-
-    def test_equal_orders_are_one_dict_key(self):
-        table = {border(2): "first", border(2): "second"}
-        assert list(table.values()) == ["second"]
-        assert border(2) != border(3)
-        assert border(2) != MonomialOrder([B[1], B[0]])
 
     def test_key_round_trip(self):
         # variables out of the canonical order, and one with exponent 0
@@ -137,16 +128,6 @@ class TestBuchberger:
         g = parse_poly("b1^2 - 1")
         assert normal_form(f + g, basis, order) == \
             normal_form(f, basis, order) + normal_form(g, basis, order)
-
-
-class TestIdeal:
-    def test_equality_ignores_the_cached_basis(self):
-        g = parse_poly("b1^2 - b2")
-        a, b = Ideal([g], border(3)), Ideal([g], border(3))
-        a.groebner()
-        assert a == b
-        assert member(g, a)  # fills the keyed basis too
-        assert a == b
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,9 @@ import pytest
 
 from haantjeskit.haantjes import (as_operator, conservation_check,
                                   is_haantjes_zero)
-from haantjeskit.killing import (KillingError, UnsupportedDimension, catalog,
-                                 compatible_family, killing_residual,
-                                 killing_space, span_equal, PotentialSpec)
+from haantjeskit.killing import (KillingError, catalog, compatible_family,
+                                 killing_residual, killing_space, span_equal,
+                                 PotentialSpec)
 from haantjeskit.symalg import Poly, parse_poly, var
 from haantjeskit.tensor import TensorField
 
@@ -46,17 +46,19 @@ def flat_killing_one_forms(n):
 
 
 class TestKillingSpace:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_dimension_formula(self, n):
-        # n(n+1)^2(n+2)/12 valence-2 Killing tensors on flat R^n: 6, 20, 50
+        # n(n+1)^2(n+2)/12 valence-2 Killing tensors on flat R^n:
+        # 1, 6, 20, 50, 105, 196
         assert len(killing_space(n)) == n * (n + 1) ** 2 * (n + 2) // 12
 
     def test_unsupported_dimension(self):
-        with pytest.raises(UnsupportedDimension):
-            killing_space(5)
+        for n in (0, -1):
+            with pytest.raises(KillingError):
+                killing_space(n)
 
     def test_all_elements_satisfy_killing_equation(self):
-        for n in (2, 3, 4):
+        for n in range(1, 7):
             for k in killing_space(n):
                 assert killing_residual(k).is_zero()
 
@@ -78,7 +80,7 @@ class TestOneForms:
                 assert killing_residual(symmetric_product(v, w)).is_zero()
 
     def test_products_span_whole_space(self):
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             forms = flat_killing_one_forms(n)
             products = [symmetric_product(v, w)
                         for i, v in enumerate(forms) for w in forms[i:]]
@@ -122,15 +124,16 @@ class TestCompatibleFamilies:
         fam = compatible_family(pot)
         assert len(fam.params) == 5
 
-    @pytest.mark.parametrize("dimension,generators,params", [
-        (4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^-2", "x2^-2", "x3^-2", "x4^-2"], 10),
-        (2, ["x1^2 + x2^2", "x1^-2", "x2^-2"], 3),
-    ], ids=["sw4-R4", "sw-R2"])
-    def test_family_on_the_potentials_dimension(self, dimension, generators, params):
-        pot = PotentialSpec(dimension=dimension,
-                            generators=[parse_poly(g) for g in generators])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5],
+                             ids=["sw-R2", "sw-R3", "sw4-R4", "sw-R5"])
+    def test_family_on_the_potentials_dimension(self, n):
+        # the Smorodinsky-Winternitz potential sum x_i^2 + sum a_i/x_i^2
+        # on R^n: n(n+1)/2 parameters
+        xs = range(1, n + 1)
+        generators = [" + ".join(f"x{i}^2" for i in xs)] + [f"x{i}^-2" for i in xs]
+        pot = PotentialSpec(dimension=n, generators=[parse_poly(g) for g in generators])
         fam = compatible_family(pot)
-        assert fam.tensor.n == dimension and len(fam.params) == params
+        assert fam.tensor.n == n and len(fam.params) == n * (n + 1) // 2
         for k in fam.basis():
             assert killing_residual(k).is_zero()
             for u in pot.generators:
