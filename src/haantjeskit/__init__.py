@@ -5,7 +5,7 @@ Haantjes-zero members."""
 
 __version__ = "0.1.0"
 
-from .symalg import (Monomial, Poly, VarId, parse_poly, var,
+from .symalg import (Poly, VarId, monomial, parse_poly, var,
                      LogarithmicTerm, NonInvertibleSubstitution, ParseError)
 from .tensor import TensorField, hessian_operator, partial_derivative
 from .haantjes import (as_operator, conservation_check, haantjes,

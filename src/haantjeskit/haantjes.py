@@ -84,14 +84,14 @@ def _encode(a: TensorField):
     da = partial_derivative(a)  # da[(i, j, k)] = d A^i_j / dx_k
     polys = a.components + da.components
     keys = [m for p in polys for m in p.terms]
-    variables = sorted({v for m in keys for v, _ in m.exps}, key=_var_key)
-    top = max((abs(e) for m in keys for _, e in m.exps), default=0)
+    variables = sorted({v for m in keys for v, _ in m}, key=_var_key)
+    top = max((abs(e) for m in keys for _, e in m), default=0)
     width = (4 * top).bit_length() + 1
     shift = {v: width * pos for pos, v in enumerate(variables)}
     den = math.lcm(*(q.denominator for p in polys for q in p.terms.values()))
 
     def encode(p: Poly) -> IntTerms:
-        return {sum(e << shift[v] for v, e in m.exps): q.numerator * (den // q.denominator)
+        return {sum(e << shift[v] for v, e in m): q.numerator * (den // q.denominator)
                 for m, q in p.terms.items()}
 
     at = [[encode(a[(i, j)]) for j in r] for i in r]
@@ -115,7 +115,7 @@ def _encode(a: TensorField):
                 if e:
                     out.append((v, e))
                 rest = (rest - e) >> width
-            m = monomials[key] = Monomial._raw(tuple(out))
+            m = monomials[key] = tuple(out)
         return m
 
     def decode(terms: IntTerms, p: int) -> Poly:

@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import add, ge, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .symalg import Monomial, Poly, VarId, _var_key
+from .symalg import Monomial, Poly, VarId, _var_key, exponent, mono_mul, monomial
 from .haantjes import as_operator, haantjes
 from .killing import KillingFamily
 
@@ -62,13 +62,13 @@ class MonomialOrder:
         variables = self.variables = tuple(variables)
         n = len(variables)
         self._pos = {v: i for i, v in enumerate(variables)}
-        # (key index, variable) in the canonical variable order of Monomial
+        # (key index, variable) in the canonical variable order of a monomial
         self._canon = tuple(sorted(((n - i, v) for i, v in enumerate(variables)),
                                    key=lambda iv: _var_key(iv[1])))
 
     def exp_vector(self, m: Monomial) -> Tuple[int, ...]:
         vec = [0] * len(self.variables)
-        for v, e in m.exps:
+        for v, e in m:
             i = self._pos.get(v)
             if i is None:
                 raise IdealsError(f"variable {v} not in the order's ring")
@@ -85,7 +85,7 @@ class MonomialOrder:
 
     def monomial(self, k: Key) -> Monomial:
         """The monomial with the given key."""
-        return Monomial._raw(tuple((v, -k[i]) for i, v in self._canon if k[i]))
+        return tuple((v, -k[i]) for i, v in self._canon if k[i])
 
     def extend(self, v: VarId) -> "MonomialOrder":
         return MonomialOrder(self.variables + (v,))
@@ -102,17 +102,12 @@ def leading_term(f: Poly, order: MonomialOrder) -> Tuple[Monomial, Fraction]:
 
 
 def _quotient(b: Monomial, a: Monomial) -> Monomial:
-    acc = dict(b.exps)
-    for v, e in a.exps:
-        acc[v] = acc.get(v, 0) - e
-    return Monomial._merged(acc)
+    """b / a, for a monomial a that divides b."""
+    return mono_mul(b, tuple((v, -e) for v, e in a))
 
 
 def _lcm_mono(a: Monomial, b: Monomial) -> Monomial:
-    acc = dict(a.exps)
-    for v, e in b.exps:
-        acc[v] = max(acc.get(v, 0), e)
-    return Monomial._merged(acc)
+    return mono_mul(a, tuple(it for it in _quotient(b, a) if it[1] > 0))
 
 
 # ---- keyed polynomials --------------------------------------------------
@@ -376,7 +371,7 @@ def hilbert_dimension(ideal: Ideal) -> int:
         raise ZeroIdeal("zero ideal: dimension equals the variable count")
     if ideal.contains_one():
         raise UnitIdeal("unit ideal: the quotient ring is trivial")
-    supports = [frozenset(leading_term(g, ideal.order)[0].variables()) for g in basis]
+    supports = [frozenset(v for v, _ in leading_term(g, ideal.order)[0]) for g in basis]
     variables = ideal.order.variables
     # the empty subset always qualifies: no leading monomial is constant
     for size in range(len(variables), -1, -1):
@@ -428,10 +423,10 @@ def _restriction(f: Poly, v: VarId, point: Dict[VarId, int]) -> Dict[int, Fracti
     variable fixed at the point."""
     coeffs: Dict[int, Fraction] = {}
     for m, q in f.terms.items():
-        for w, e in m.exps:
+        for w, e in m:
             if w != v:
                 q *= point[w] ** e
-        k = m.exponent(v)
+        k = exponent(m, v)
         coeffs[k] = coeffs.get(k, 0) + q
     return {e: q for e, q in coeffs.items() if q}
 
@@ -459,9 +454,9 @@ def linear_factor(f: Poly) -> List[Poly]:
         raise IdealsError("linear_factor expects a polynomial")
 
     # monomial content contributes one linear factor per variable
-    content = Monomial({v: min(m.exponent(v) for m in f.terms)
+    content = monomial({v: min(exponent(m, v) for m in f.terms)
                         for v in f.variables()})
-    factors = [Poly.variable(v) for v in content.variables()]
+    factors = [Poly.variable(v) for v, _ in content]
     f0 = Poly._raw({_quotient(m, content): q for m, q in f.terms.items()})
 
     order = MonomialOrder(sorted(f.variables()))
@@ -504,7 +499,9 @@ def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
     torsion vanishes identically in x."""
     h = haantjes(as_operator(family.tensor))
     order = MonomialOrder(sorted(family.params))
-    gens: Dict[str, Poly] = {}  # by printed form, which is canonical
+    # each primitive generator and its keyed form, by printed form,
+    # which is canonical
+    gens: Dict[str, Tuple[Poly, Terms]] = {}
     # H^i_kj = -H^i_jk normalizes to the same generator and H^i_jj = 0,
     # so the components with j < k give every generator
     for (i, j, k) in h.indices():
@@ -512,18 +509,18 @@ def haantjes_zero_ideal(family: KillingFamily) -> Ideal:
             continue
         for coeff in h[(i, j, k)].collect(frozenset(("x",))).values():
             if not coeff.is_zero():
-                g = primitive_normalized(coeff, order)
-                gens.setdefault(str(g), g)
+                keyed = _keyed(coeff, order)
+                g = _poly(keyed, order, Fraction(1))
+                gens.setdefault(str(g), (g, keyed))
     # drop generators already implied by the others, lowest degree first
-    keyed = {text: _keyed(g, order) for text, g in gens.items()}
     pruned: List[Poly] = []
     basis: List[Terms] = []
     lms: List[Key] = []
-    for text in sorted(gens, key=lambda t: (max(keyed[t])[0], t)):
-        k = keyed[text]
+    for text in sorted(gens, key=lambda t: (max(gens[t][1])[0], t)):
+        g, k = gens[text]
         if basis and not _remainder(k, basis, lms)[0]:
             continue
-        pruned.append(gens[text])
+        pruned.append(g)
         basis.append(k)
         lms.append(max(k))
     return Ideal(pruned, order)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .symalg import Monomial, Poly, VarId, parse_poly
+from .symalg import Monomial, Poly, VarId, mono_mul, mono_sort_key, parse_poly
 from .tensor import TensorField, TensorError
 from .haantjes import as_operator, conservation_check
 
@@ -86,11 +86,11 @@ def _solve(n: int, candidates: Sequence[TensorField],
     each x-coefficient of each is one linear row in the c_u.  The echelon
     form is taken over the candidates' order, so the result is unique.
     """
-    cs = [Monomial.of(VarId("c", u)) for u in range(len(candidates))]
+    cs = [((VarId("c", u), 1),) for u in range(len(candidates))]
     col = {c: u for u, c in enumerate(cs)}
     # distinct (candidate, x-monomial) pairs give distinct monomials
     generic = TensorField.from_function(n, (0, 2), lambda idx: Poly._raw(
-        {m * c: q for t, c in zip(candidates, cs) for m, q in t[idx].terms.items()}))
+        {mono_mul(m, c): q for t, c in zip(candidates, cs) for m, q in t[idx].terms.items()}))
     rows: List[List[Fraction]] = []
     for comp in residuals(generic):
         for coeff in comp.collect(("x",)).values():
@@ -164,10 +164,10 @@ def killing_space(n: int) -> Tuple[TensorField, ...]:
     """
     if n < 1:
         raise KillingError(f"killing_space needs n >= 1, got {n}")
-    xs = [Monomial.of(_x(i + 1)) for i in range(n)]
-    monos = [Monomial.one()] + xs + [a * b for a, b in
-                                     itertools.combinations_with_replacement(xs, 2)]
-    monos.sort(key=lambda m: m.sort_key())
+    xs = [((_x(i + 1), 1),) for i in range(n)]
+    monos = [()] + xs + [mono_mul(a, b) for a, b in
+                         itertools.combinations_with_replacement(xs, 2)]
+    monos.sort(key=mono_sort_key)
     candidates = [
         TensorField.from_function(n, (0, 2), lambda idx, pq=pq, m=m: (
             Poly.term(m, 1) if tuple(sorted(idx)) == pq else Poly.zero()))

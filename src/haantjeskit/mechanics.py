@@ -4,9 +4,9 @@ systems, and the quartic contraction formula its Haantjes torsion
 satisfies.
 
 Phase functions are plain Polys on T*R^n: Laurent in the positions
-x1..xn, polynomial in the momenta p1..pn (Monomial rejects a negative
-momentum exponent).  No dimension is stored; n is read off as the
-largest index of an x_k or p_k that occurs.
+x1..xn, polynomial in the momenta p1..pn (`symalg.monomial` rejects a
+negative momentum exponent).  No dimension is stored; n is read off as
+the largest index of an x_k or p_k that occurs.
 
 There is one potential, the generic V = sum_r a_r * g_r over the
 generators g_r of a PotentialSpec (a0 for the first), so H = sum p_k^2 + V.

@@ -96,127 +96,83 @@ def _item_key(item: Tuple[VarId, int]) -> Tuple[int, int]:
     return _var_key(item[0])
 
 
-class Monomial:
-    """A product of variable powers, stored as a sorted tuple of
-    (VarId, exponent) pairs with no zero exponents."""
+# A monomial is a product of variable powers: the tuple of its
+# (VarId, exponent) pairs, sorted by _var_key, with no zero exponent and
+# negative exponents only on x-variables.  It hashes and compares as
+# the tuple it is.
+Monomial = Tuple[Tuple[VarId, int], ...]
 
-    __slots__ = ("exps",)
 
-    def __init__(self, exps: Union[Mapping[VarId, int], Iterable[Tuple[VarId, int]]]):
-        items = exps.items() if isinstance(exps, Mapping) else exps
-        kept = []
-        for v, e in items:
-            if e == 0:
-                continue
-            if e < 0 and v.ns != "x":
-                raise ValueError(f"negative exponent on {v} (only x-variables are Laurent)")
-            kept.append((v, int(e)))
-        kept.sort(key=_item_key)
-        self.exps = tuple(kept)
+def monomial(exps: Union[Mapping[VarId, int], Iterable[Tuple[VarId, int]]]) -> Monomial:
+    """The monomial of an exponent map or of (variable, exponent) pairs,
+    in which the exponents of a repeated variable add up; a negative
+    exponent off the x-variables raises ValueError."""
+    items = exps.items() if isinstance(exps, Mapping) else exps
+    acc: Dict[VarId, int] = {}
+    for v, e in items:
+        if e < 0 and v.ns != "x":
+            raise ValueError(f"negative exponent on {v} (only x-variables are Laurent)")
+        acc[v] = acc.get(v, 0) + int(e)
+    return tuple(sorted([it for it in acc.items() if it[1]], key=_item_key))
 
-    @classmethod
-    def _raw(cls, exps: Tuple[Tuple[VarId, int], ...]) -> "Monomial":
-        """Trusted constructor: `exps` is already sorted, with no zero
-        exponent and negative exponents only on x-variables."""
-        m = object.__new__(cls)
-        m.exps = exps
-        return m
 
-    @classmethod
-    def _merged(cls, acc: Mapping[VarId, int]) -> "Monomial":
-        """Trusted constructor from a valid exponent map that may hold
-        zero exponents, such as the quotient or the lcm of two valid
-        monomials."""
-        return cls._raw(tuple(sorted([it for it in acc.items() if it[1]], key=_item_key)))
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials.  Only x-exponents can be negative
+    in either factor, so the product is valid and needs no
+    re-validation.  Both are sorted, so the product is their linear
+    merge, dropping the exponents that cancel."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    ka, kb = _item_key(a[0]), _item_key(b[0])
+    while True:
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+            if i == la:
+                break
+            ka = _item_key(a[i])
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+            if j == lb:
+                break
+            kb = _item_key(b[j])
+        else:
+            e = a[i][1] + b[j][1]
+            if e:
+                out.append((a[i][0], e))
+            i += 1
+            j += 1
+            if i == la or j == lb:
+                break
+            ka, kb = _item_key(a[i]), _item_key(b[j])
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls._raw(())
 
-    @classmethod
-    def of(cls, v: VarId, e: int = 1) -> "Monomial":
-        return cls(((v, e),))
+def exponent(m: Monomial, v: VarId) -> int:
+    for w, e in m:
+        if w == v:
+            return e
+    return 0
 
-    def __hash__(self):
-        return hash(self.exps)
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+def mono_sort_key(m: Monomial):
+    # Graded ordering on the canonical variable sequence; used only for
+    # deterministic printing.
+    return (-sum(e for _, e in m), tuple((_var_key(v), -e) for v, e in m))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        # Only x-exponents can be negative in either factor, so the
-        # product is valid and needs no re-validation.  Both exponent
-        # tuples are sorted, so the product is their linear merge.
-        b = other.exps
-        if not b:
-            return self
-        a = self.exps
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        ka, kb = _item_key(a[0]), _item_key(b[0])
-        while True:
-            if ka < kb:
-                out.append(a[i])
-                i += 1
-                if i == la:
-                    break
-                ka = _item_key(a[i])
-            elif kb < ka:
-                out.append(b[j])
-                j += 1
-                if j == lb:
-                    break
-                kb = _item_key(b[j])
-            else:
-                e = a[i][1] + b[j][1]
-                if e:
-                    out.append((a[i][0], e))
-                i += 1
-                j += 1
-                if i == la or j == lb:
-                    break
-                ka, kb = _item_key(a[i]), _item_key(b[j])
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._raw(tuple(out))
 
-    def exponent(self, v: VarId) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def variables(self) -> Tuple[VarId, ...]:
-        return tuple(v for v, _ in self.exps)
-
-    def split(self, namespaces) -> Tuple["Monomial", "Monomial"]:
-        """Split into (part in `namespaces`, remainder)."""
-        inside = tuple((v, e) for v, e in self.exps if v.ns in namespaces)
-        outside = tuple((v, e) for v, e in self.exps if v.ns not in namespaces)
-        return Monomial._raw(inside), Monomial._raw(outside)
-
-    def sort_key(self):
-        # Graded ordering on the canonical variable sequence; used only
-        # for deterministic printing.
-        return (-self.degree, tuple((_var_key(v), -e) for v, e in self.exps))
-
-    def __str__(self):
-        if not self.exps:
-            return "1"
-        parts = []
-        for v, e in self.exps:
-            parts.append(str(v) if e == 1 else f"{v}^{e}")
-        return "*".join(parts)
-
-    def __repr__(self):
-        return f"Monomial({str(self)})"
+def mono_str(m: Monomial) -> str:
+    if not m:
+        return "1"
+    return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in m)
 
 
 Scalar = Union[int, Fraction]
@@ -233,14 +189,14 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] = ()):
-        kept: Dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
+        # Each key passes through monomial(), so keys that name one
+        # monomial in two ways add up.
+        acc: Dict[Monomial, Fraction] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
         for m, q in items:
-            if type(q) is not Fraction:
-                q = Fraction(q)
-            if q:
-                kept[m] = q
-        self.terms = kept
+            m = monomial(m)
+            acc[m] = acc.get(m, 0) + Fraction(q)
+        self.terms = {m: q for m, q in acc.items() if q}
 
     # ---- constructors -------------------------------------------------
 
@@ -258,14 +214,15 @@ class Poly:
 
     @classmethod
     def const(cls, q: Scalar) -> "Poly":
-        return cls.term(Monomial.one(), q)
+        return cls.term((), q)
 
     @classmethod
     def variable(cls, v: VarId, e: int = 1) -> "Poly":
-        return cls._raw({Monomial.of(v, e): Fraction(1)})
+        return cls._raw({monomial(((v, e),)): Fraction(1)})
 
     @classmethod
     def term(cls, m: Monomial, q: Scalar) -> "Poly":
+        """q * m for a valid monomial m (see `monomial`)."""
         if type(q) is not Fraction:
             q = Fraction(q)
         return cls._raw({m: q} if q else {})
@@ -276,16 +233,16 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not m.exps for m in self.terms)
+        return all(not m for m in self.terms)
 
     def variables(self) -> Tuple[VarId, ...]:
         seen = set()
         for m in self.terms:
-            seen.update(m.variables())
+            seen.update(v for v, _ in m)
         return tuple(sorted(seen, key=_var_key))
 
     def has_negative_exponents(self) -> bool:
-        return any(e < 0 for m in self.terms for _, e in m.exps)
+        return any(e < 0 for m in self.terms for _, e in m)
 
     # ---- ring operations ----------------------------------------------
 
@@ -313,9 +270,10 @@ class Poly:
         other = self._coerce(other)
         acc: Dict[Monomial, Fraction] = {}
         get = acc.get
+        mul = mono_mul
         for m1, q1 in self.terms.items():
             for m2, q2 in other.terms.items():
-                m = m1 * m2
+                m = mul(m1, m2)
                 q = get(m)
                 acc[m] = q1 * q2 if q is None else q + q1 * q2
         # A cancelled term keeps its place until the end, so a later
@@ -344,9 +302,6 @@ class Poly:
             other = Poly.const(other)
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # ---- calculus ------------------------------------------------------
 
     def diff(self, v: VarId) -> "Poly":
@@ -354,11 +309,10 @@ class Poly:
         # Distinct terms have distinct derivatives, so nothing collects.
         acc: Dict[Monomial, Fraction] = {}
         for m, q in self.terms.items():
-            e = m.exponent(v)
+            e = exponent(m, v)
             if e:
-                exps = tuple((w, k - 1) if w == v else (w, k)
-                             for w, k in m.exps if w != v or k != 1)
-                acc[Monomial._raw(exps)] = q * e
+                acc[tuple((w, k - 1) if w == v else (w, k)
+                          for w, k in m if w != v or k != 1)] = q * e
         return Poly._raw(acc)
 
     def integrate(self, v: VarId) -> "Poly":
@@ -367,13 +321,13 @@ class Poly:
         Raises LogarithmicTerm if any term has exponent -1 in v.
         """
         # Distinct terms have distinct antiderivatives, so nothing collects.
-        step = Monomial.of(v)
+        step = ((v, 1),)
         acc: Dict[Monomial, Fraction] = {}
         for m, q in self.terms.items():
-            e = m.exponent(v)
+            e = exponent(m, v)
             if e == -1:
-                raise LogarithmicTerm(f"term {m} integrates to a logarithm in {v}")
-            acc[m * step] = q / (e + 1)
+                raise LogarithmicTerm(f"term {mono_str(m)} integrates to a logarithm in {v}")
+            acc[mono_mul(m, step)] = q / (e + 1)
         return Poly._raw(acc)
 
     # ---- substitution and collection ----------------------------------
@@ -390,7 +344,7 @@ class Poly:
         for m, q in self.terms.items():
             factor = Poly.const(q)
             untouched = {}
-            for v, e in m.exps:
+            for v, e in m:
                 repl = binds.get(v)
                 if repl is None:
                     untouched[v] = e
@@ -398,7 +352,7 @@ class Poly:
                     factor = factor * repl ** e
                 else:
                     factor = factor * _invert_power(v, repl, e)
-            out = out + factor * Poly.term(Monomial(untouched), 1)
+            out = out + factor * Poly.term(monomial(untouched), 1)
         return out
 
     def collect(self, namespaces) -> Dict[Monomial, "Poly"]:
@@ -413,7 +367,8 @@ class Poly:
         namespaces = frozenset(namespaces)
         groups: Dict[Monomial, Dict[Monomial, Fraction]] = {}
         for m, q in self.terms.items():
-            inside, outside = m.split(namespaces)
+            inside = tuple(it for it in m if it[0].ns in namespaces)
+            outside = tuple(it for it in m if it[0].ns not in namespaces)
             groups.setdefault(inside, {})[outside] = q
         return {m: Poly._raw(terms) for m, terms in groups.items()}
 
@@ -427,7 +382,7 @@ class Poly:
         """
         total = Fraction(0)
         for m, q in self.terms.items():
-            for v, e in m.exps:
+            for v, e in m:
                 if v not in point:
                     raise ValueError(f"{v} occurs but is not bound by the point")
                 if e > 0:
@@ -445,18 +400,18 @@ class Poly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda it: it[0].sort_key())
+        items = sorted(self.terms.items(), key=lambda it: mono_sort_key(it[0]))
         chunks = []
         try:
             for i, (m, q) in enumerate(items):
                 sign = "-" if q < 0 else "+"
                 mag = abs(q)
-                if not m.exps:
+                if not m:
                     body = str(mag)
                 elif mag == 1:
-                    body = str(m)
+                    body = mono_str(m)
                 else:
-                    body = f"{mag}*{m}"
+                    body = f"{mag}*{mono_str(m)}"
                 if i == 0:
                     chunks.append(body if sign == "+" else f"-{body}")
                 else:
@@ -494,7 +449,7 @@ def _invert_power(v: VarId, repl: Poly, e: int) -> Poly:
             f"{v} occurs with exponent {e} but is bound to the non-monomial {repl}")
     (m, q), = repl.terms.items()
     try:
-        inv = Monomial({w: k * e for w, k in m.exps})
+        inv = monomial({w: k * e for w, k in m})
     except ValueError as exc:
         raise NonInvertibleSubstitution(
             f"{v} occurs with exponent {e}; inverse of {repl} is not a valid monomial") from exc
@@ -595,5 +550,5 @@ def parse_poly(text: str) -> Poly:
                 raise ParseError("missing operator between factors")
         if expect_factor:
             raise ParseError("dangling '*' in term")
-        result = result + Poly.term(Monomial(mono), coeff)
+        result = result + Poly.term(monomial(mono), coeff)
     return result

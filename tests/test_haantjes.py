@@ -9,7 +9,8 @@ from haantjeskit.haantjes import (as_operator, conservation_check, haantjes,
                                   is_haantjes_zero, nijenhuis,
                                   pullback_differential)
 from haantjeskit.killing import catalog
-from haantjeskit.symalg import Monomial, Poly, parse_poly, var
+from haantjeskit import symalg
+from haantjeskit.symalg import Poly, exponent, monomial, parse_poly, var
 from haantjeskit.tensor import (TensorError, TensorField, hessian_operator,
                                 partial_derivative)
 from .test_symalg import random_poly
@@ -38,7 +39,7 @@ def seeded_operator(seed, n, kind):
                     for v in rng.sample(xs, rng.randint(0, 2))}
             if "parametric" in kind:
                 exps.update({b: 1 for b in rng.sample(bs, rng.randint(0, 1))})
-            terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            terms[monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         return Poly(terms)
 
     return TensorField.from_function(n, (1, 1), entry)
@@ -214,19 +215,19 @@ class TestCanonicalOutput:
         assert (nijenhuis(a), haantjes(a)) == expected
 
     def test_no_monomial_products(self, monkeypatch):
-        # The kernels multiply monomials as packed int keys; a Monomial
-        # product in their sums would mean they went back to Monomial
-        # keys.
+        # The kernels multiply monomials as packed int keys; a call of
+        # the monomial merge in their sums would mean they went back to
+        # exponent-tuple keys.
         a = seeded_operator(1, 3, "parametric-laurent")
         expected = (nijenhuis(a), haantjes(a))
-        assert any(m.exponent(v) < 0 for c in a.components
-                   for m in c.terms for v in m.variables())
+        assert any(exponent(m, v) < 0 for c in a.components
+                   for m in c.terms for v, _ in m)
         assert not expected[1].is_zero()
 
-        def refuse(self, other):
-            raise AssertionError("Monomial.__mul__ called")
+        def refuse(a, b):
+            raise AssertionError("mono_mul called")
 
-        monkeypatch.setattr(Monomial, "__mul__", refuse)
+        monkeypatch.setattr(symalg, "mono_mul", refuse)
         assert (nijenhuis(a), haantjes(a)) == expected
 
 
@@ -250,8 +251,8 @@ class TestIntegerKernels:
             ["x1^-6*x2^7", "x2^7", "x3^2"]])
         self.assert_matches(a)
         h = haantjes(a)
-        assert max(m.exponent(var("x2")) for c in h.components for m in c.terms) == 28
-        assert min(m.exponent(var("x1")) for c in h.components for m in c.terms) == -24
+        assert max(exponent(m, var("x2")) for c in h.components for m in c.terms) == 28
+        assert min(exponent(m, var("x1")) for c in h.components for m in c.terms) == -24
 
     def test_exponents_beyond_a_narrower_width(self):
         # E = 9, so a digit holds -64..63.  H has x1^36, a four-fold
@@ -261,7 +262,7 @@ class TestIntegerKernels:
             ["3*x1^9", "x1^9*x3", "3*x1^-1"],
             ["3*x1^2*x2", "2*x3^9", "x2^9*x3^2"]])
         self.assert_matches(a)
-        assert max(m.exponent(var("x1")) for c in haantjes(a).components
+        assert max(exponent(m, var("x1")) for c in haantjes(a).components
                    for m in c.terms) == 36
 
     def test_coprime_denominators(self):

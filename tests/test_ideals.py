@@ -16,7 +16,7 @@ from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 primitive_normalized, radical_member,
                                 s_polynomial)
 from haantjeskit.killing import KillingFamily, catalog, killing_space
-from haantjeskit.symalg import Monomial, Poly, parse_poly, var
+from haantjeskit.symalg import Poly, exponent, monomial, parse_poly, var
 from haantjeskit.tensor import TensorField
 
 B = [var(f"b{i}") for i in range(1, 7)]
@@ -46,8 +46,8 @@ def border(k=6):
 class TestMonomialOrder:
     def test_grevlex_degree_first(self):
         order = border(3)
-        lo = Monomial.of(var("b1"), 1)
-        hi = Monomial.of(var("b3"), 2)
+        lo = monomial({var("b1"): 1})
+        hi = monomial({var("b3"): 2})
         assert order.key(hi) > order.key(lo)
 
     def test_grevlex_tie_break(self):
@@ -61,7 +61,7 @@ class TestMonomialOrder:
         order = border(3)
         mono, coeff = leading_term(parse_poly("2*b1*b2 - 7*b3^3"), order)
         assert coeff == Fraction(-7)
-        assert mono == Monomial.of(var("b3"), 3)
+        assert mono == monomial({var("b3"): 3})
 
     def test_extend_appends_a_variable(self):
         a = border(2)
@@ -75,13 +75,13 @@ class TestMonomialOrder:
         for text in ("b1^2*b3*t1^3", "b2", "1", "b3^4*b1"):
             m = next(iter(parse_poly(text).terms))
             assert order.monomial(order.key(m)) == m
-            assert order.key(m)[0] == m.degree
+            assert order.key(m)[0] == sum(e for _, e in m)
 
     def test_foreign_and_laurent_monomials_rejected(self):
         with pytest.raises(IdealsError):
-            border(2).key(Monomial.of(var("b3")))
+            border(2).key(monomial({var("b3"): 1}))
         with pytest.raises(IdealsError):
-            MonomialOrder([var("x1")]).key(Monomial.of(var("x1"), -1))
+            MonomialOrder([var("x1")]).key(monomial({var("x1"): -1}))
 
 
 class TestBuchberger:
@@ -149,7 +149,7 @@ class TestGroebnerOracle:
         exprs = [sympy.sympify(str(g).replace("^", "**")) for g in ideal.generators]
         basis = []
         for g in sympy.groebner(exprs, *gens, order="grevlex").polys:
-            f = Poly({Monomial(zip(variables, exps)): Fraction(int(c.p), int(c.q))
+            f = Poly({monomial(zip(variables, exps)): Fraction(int(c.p), int(c.q))
                       for exps, c in g.terms()})
             basis.append(monic(f, ideal.order))
         return sorted(basis, key=str)
@@ -167,6 +167,9 @@ class TestGroebnerOracle:
         for g, monic_g in zip(basis, ideal.groebner()):
             assert_primitive(g)
             assert monic(keyed_poly(g, ideal.order), ideal.order) == monic_g
+            # no type enforces the monomial format of the keys that
+            # buchberger decodes from grevlex keys
+            assert all(monomial(m) == m for m in monic_g.terms)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_generator_order_does_not_matter(self, catalog_ideals, seed):
@@ -185,9 +188,8 @@ def _division_remainder(f, basis, order):
         lm, lc = leading_term(work, order)
         for g in basis:
             glm, glc = leading_term(g, order)
-            if all(lm.exponent(v) >= e for v, e in glm.exps):
-                quotient = Monomial({v: lm.exponent(v) - glm.exponent(v)
-                                     for v in lm.variables()})
+            if all(exponent(lm, v) >= e for v, e in glm):
+                quotient = monomial({v: e - exponent(glm, v) for v, e in lm})
                 work = work - g * Poly.term(quotient, lc / glc)
                 break
         else:
@@ -500,7 +502,7 @@ def all_components_generators(family):
                 g = primitive_normalized(coeff, order)
                 gens.setdefault(str(g), g)
     pruned = []
-    for text in sorted(gens, key=lambda t: (max(m.degree for m in gens[t].terms), t)):
+    for text in sorted(gens, key=lambda t: (max(sum(e for _, e in m) for m in gens[t].terms), t)):
         if not (pruned and normal_form(gens[text], pruned, order).is_zero()):
             pruned.append(gens[text])
     return pruned

@@ -13,7 +13,7 @@ from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
                                    condition_6b, functional_independence,
                                    haantjes_at, hamiltonian, poisson,
                                    random_rational, structural_tensor_at)
-from haantjeskit.symalg import Monomial, Poly, parse_poly, var
+from haantjeskit.symalg import Poly, monomial, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField
 from .test_tensor import identity_operator
 
@@ -52,7 +52,7 @@ def random_laurent(rng):
         exps = {var(f"x{i}"): rng.randint(-2, 2) for i in range(1, 4)}
         exps.update({var(f"p{i}"): rng.randint(0, 2) for i in range(1, 4)})
         exps.update({var(f"a{i}"): rng.randint(0, 1) for i in range(4)})
-        terms[Monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        terms[monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return Poly(terms)
 
 
