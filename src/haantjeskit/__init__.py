@@ -16,6 +16,6 @@ from .ideals import (Ideal, MonomialOrder, UnitIdeal, ZeroIdeal, buchberger,
                      haantjes_zero_ideal, hilbert_dimension, ideal_equal,
                      linear_factor, member, normal_form, radical_member)
 from .mechanics import (DegenerateK, NonUniqueSolution, NotCompatible,
-                        StructuralTensor, abundant_haantjes, build_integral,
-                        condition_6b, functional_independence, hamiltonian,
-                        poisson, structural_tensor_at)
+                        abundant_haantjes, build_integral, condition_6b,
+                        functional_independence, hamiltonian, poisson,
+                        structural_tensor_at)

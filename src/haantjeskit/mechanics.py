@@ -1,7 +1,8 @@
 """Phase-space layer: Poisson brackets, second-order integrals of
-motion, functional independence, the structural tensor of abundant
-systems, and the quartic contraction formula its Haantjes torsion
-satisfies.
+motion, functional independence, and the structural tensor P of an
+abundant family (grad K = P K at a point, a (0,3) tensor of linear forms
+in symbols c_u for the components of K), whose Haantjes torsion there is
+a quartic form in the c_u, computed by `haantjes.haantjes` itself.
 
 Phase functions are plain Polys on T*R^n: Laurent in the positions
 x1..xn, polynomial in the momenta p1..pn (`symalg.monomial` rejects a
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .symalg import Poly, VarId
@@ -141,8 +142,10 @@ def functional_independence(fs: Sequence[Poly], seed: int = 0) -> int:
     params = sorted({v for f in fs for v in f.variables() if v.ns not in ("x", "p")})
     jac = [[f.diff(v) for v in phase_vars] for f in fs]
     bound = min(len(fs), 2 * n)
+    # {fs[0], g} = sum_k dfs[0]/dp_k dg/dx_k - dfs[0]/dx_k dg/dp_k, read off the rows
     if (bound == 2 * n and any(not e.is_zero() for e in jac[0])
-            and all(poisson(fs[0], g).is_zero() for g in fs[1:])):
+            and all(sum((jac[0][n + k] * g[k] - jac[0][k] * g[n + k] for k in range(n)),
+                        Poly.zero()).is_zero() for g in jac[1:])):
         bound -= 1
     rng = random.Random(seed)
     best = 0
@@ -157,24 +160,6 @@ def functional_independence(fs: Sequence[Poly], seed: int = 0) -> int:
 
 
 # ---- structural tensor ------------------------------------------------
-
-
-class StructuralTensor:
-    """Point value of the tensor P^{ab}_{ijk} with derivative law
-    grad_k K_ij = P^{ab}_{ijk} K_ab on the family; symmetric in (a,b)
-    and in (i,j)."""
-
-    def __init__(self, dimension: int, values: Dict[Tuple[int, int, int, int, int], Fraction]):
-        self.dimension = dimension
-        self.values = values
-
-    def __call__(self, a: int, b: int, i: int, j: int, k: int) -> Fraction:
-        a, b = sorted((a, b))
-        i, j = sorted((i, j))
-        return self.values.get((a, b, i, j, k), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not any(self.values.values())
 
 
 def _point_binding(x0: Sequence[Fraction]):
@@ -193,119 +178,92 @@ def evaluate_tensor(t: TensorField, x0: Sequence[Fraction]):
     return nest(())
 
 
-def structural_tensor_at(family: KillingFamily, x0: Sequence[Fraction]) -> StructuralTensor:
+def _pairs(n: int) -> List[Tuple[int, int]]:
+    """The component pairs (a, b) with a <= b of a symmetric n x n
+    tensor, in the order of their symbols c0, c1, ..."""
+    return [(a, b) for a in range(n) for b in range(a, n)]
+
+
+def structural_tensor_at(family: KillingFamily, x0: Sequence[Fraction]) -> TensorField:
     """Unique pointwise solution of grad K = P K over the family basis.
 
+    Returns the derivative law as a (0,3) tensor, symmetric in its first
+    two slots: component (i, j, k) is the linear form
+    sum_{a <= b} w_ab P^{ab}_ijk c_u in the symbols c_u of the component
+    pairs (a, b) of `_pairs`, w_ab being 1 on the diagonal and 2 off it,
+    so binding each c_u to K_ab gives grad_k K_ij for every member K.
     Requires the evaluation matrix of the basis at x0 (one row per
-    basis element, one column per symmetric component pair) to be
-    square and invertible.
+    basis element, one column per component pair) to be square and
+    invertible.
     """
     n = family.tensor.n
     basis = family.basis()
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    pairs = _pairs(n)
     if len(basis) != len(pairs):
         raise NonUniqueSolution(
             f"family has {len(basis)} parameters but {len(pairs)} component pairs")
     binding = _point_binding(x0)
-    grads = [partial_derivative(elem) for elem in basis]
     triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
-    # one row per basis element: its weighted components, then one
-    # right-hand side per (i, j, k); reducing [M | all right-hand sides]
-    # once gives [I | the unique solutions] when M is invertible
+    # one row per basis element: its components, then one right-hand
+    # side per (i, j, k); reducing [M | all right-hand sides] once gives
+    # [I | the coefficients w_ab P^{ab}_ijk] when M is invertible
     aug = []
-    for elem, g in zip(basis, grads):
-        row = [(1 if a == b else 2) * elem[(a, b)].evaluate(binding) for a, b in pairs]
-        row += [g[t].evaluate(binding) for t in triples]
-        aug.append(row)
+    for elem in basis:
+        g = partial_derivative(elem)
+        aug.append([elem[pair].evaluate(binding) for pair in pairs]
+                   + [g[t].evaluate(binding) for t in triples])
     red, pivots = linalg.rref(aug)
     if pivots[:len(pairs)] != list(range(len(pairs))):
         raise NonUniqueSolution("basis evaluation matrix singular at this point")
-    values: Dict[Tuple[int, int, int, int, int], Fraction] = {}
-    for c, (i, j, k) in enumerate(triples, len(pairs)):
-        for (a, b), row in zip(pairs, red):
-            if row[c]:
-                values[(a, b, i, j, k)] = row[c]
-    return StructuralTensor(dimension=n, values=values)
+    symbols = [((VarId("c", u), 1),) for u in range(len(pairs))]
+    forms = {}
+    for col, (i, j, k) in enumerate(triples, len(pairs)):
+        forms[(i, j, k)] = forms[(j, i, k)] = Poly._raw(
+            {m: row[col] for m, row in zip(symbols, red) if row[col]})
+    return TensorField.from_function(n, (0, 3), forms.__getitem__)
 
 
 # ---- abundant-system Haantjes formula ---------------------------------
 
 
-def _nijenhuis_kernel(p: StructuralTensor) -> Dict[Tuple[int, ...], Fraction]:
-    """Seven-index kernel U with N_ijk = U[i,c,d,a,b,j,k] K_cd K_ab."""
-    n = p.dimension
-    u: Dict[Tuple[int, ...], Fraction] = {}
-    rng = range(n)
-    for i in rng:
-        for c in rng:
-            for d in rng:
-                for a in rng:
-                    for b in rng:
-                        for j in rng:
-                            for k in rng:
-                                val = Fraction(0)
-                                if b == j:
-                                    val += p(c, d, i, k, a)
-                                if b == k:
-                                    val -= p(c, d, i, j, a)
-                                if a == i:
-                                    val += p(c, d, b, j, k) - p(c, d, b, k, j)
-                                if val:
-                                    u[(i, c, d, a, b, j, k)] = val
-    return u
+def haantjes_kernel(p: TensorField) -> List[Poly]:
+    """The Haantjes torsion at a point where grad K = P K, as the n^3
+    quartic forms H_ijk in the component symbols c_u of K, row-major.
 
-
-def haantjes_kernel(p: StructuralTensor) -> Dict[Tuple[int, ...], Fraction]:
-    """Eleven-index kernel with H_ijk = sum kernel * K_cd K_rm K_pq K_uv.
-
-    Depends only on the structural tensor, not on the particular
-    family member contracted into it.
+    The torsion at a point depends only on the operator and its first
+    derivatives there, so H_ijk is the x-free part of the torsion of the
+    first-order operator K + sum_m x_m (grad_m K), K the generic
+    symmetric tensor K_ab = c_u and grad_m K_ab = p[(a, b, m)].  The
+    forms depend only on P, not on the member contracted into them.
     """
-    n = p.dimension
-    u = _nijenhuis_kernel(p)
-    kernel: Dict[Tuple[int, ...], Fraction] = {}
+    n = p.n
+    symbol = {pair: Poly.variable(VarId("c", u)) for u, pair in enumerate(_pairs(n))}
 
-    def bump(key, val):
-        kernel[key] = kernel.get(key, Fraction(0)) + val
-        if not kernel[key]:
-            del kernel[key]
+    def comp(idx):
+        return sum((Poly.variable(_x(m + 1)) * p[idx + (m,)] for m in range(n)),
+                   symbol[tuple(sorted(idx))])
 
-    rng = range(n)
-    for (x0, c, d, r, m, y, z), w in u.items():
-        # N_{b j k} K_ia K_ab  with (b,j,k) = (x0,y,z)
-        for i in rng:
-            for a in rng:
-                bump((i, y, z, c, d, r, m, i, a, a, x0), w)
-        # N_{i a b} K_aj K_bk  with (i,a,b) = (x0,y,z)
-        for j in rng:
-            for k in rng:
-                bump((x0, j, k, c, d, r, m, y, j, z, k), w)
-        # -K_ia N_{a b k} K_bj  with (a,b,k) = (x0,y,z)
-        for i in rng:
-            for j in rng:
-                bump((i, j, z, c, d, r, m, i, x0, y, j), -w)
-        # -K_ia N_{a j b} K_bk  with (a,j,b) = (x0,y,z)
-        for i in rng:
-            for k in rng:
-                bump((i, y, k, c, d, r, m, i, x0, z, k), -w)
-    return kernel
+    h = haantjes(as_operator(TensorField.from_function(n, (0, 2), comp)))
+    # x sorts first in a monomial, so a monomial is x-free exactly when
+    # its first variable is not an x
+    return [Poly._raw({m: q for m, q in c.terms.items() if not m or m[0][0].ns != "x"})
+            for c in h.components]
 
 
-def abundant_haantjes(p: StructuralTensor, k: TensorField, x0: Sequence[Fraction]):
+def abundant_haantjes(p: TensorField, k: TensorField, x0: Sequence[Fraction]):
     """Haantjes torsion of K at x0 via the structural-tensor kernel.
 
     Returns nested lists H[i][j][k]; agrees with the direct torsion
     evaluation whenever grad K = P K holds at x0.
     """
-    n = p.dimension
+    n = p.n
     if k.n != n:
         raise MechanicsError("dimension mismatch")
     kv = evaluate_tensor(k, x0)
-    kernel = haantjes_kernel(p)
-    out = [[[Fraction(0) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j, kk, c, d, r, m, pq1, pq2, uv1, uv2), w in kernel.items():
-        out[i][j][kk] += w * kv[c][d] * kv[r][m] * kv[pq1][pq2] * kv[uv1][uv2]
-    return out
+    binding = {VarId("c", u): kv[a][b] for u, (a, b) in enumerate(_pairs(n))}
+    values = [form.evaluate(binding) for form in haantjes_kernel(p)]
+    return [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+            for i in range(n)]
 
 
 def haantjes_at(k: TensorField, x0: Sequence[Fraction]):

@@ -221,11 +221,12 @@ class Poly:
         return cls._raw({monomial(((v, e),)): Fraction(1)})
 
     @classmethod
-    def term(cls, m: Monomial, q: Scalar) -> "Poly":
-        """q * m for a valid monomial m (see `monomial`)."""
+    def term(cls, m: Union[Mapping[VarId, int], Iterable[Tuple[VarId, int]]],
+             q: Scalar) -> "Poly":
+        """q times the monomial of m, which passes through `monomial`."""
         if type(q) is not Fraction:
             q = Fraction(q)
-        return cls._raw({m: q} if q else {})
+        return cls._raw({monomial(m): q} if q else {})
 
     # ---- predicates ---------------------------------------------------
 
@@ -352,7 +353,7 @@ class Poly:
                     factor = factor * repl ** e
                 else:
                     factor = factor * _invert_power(v, repl, e)
-            out = out + factor * Poly.term(monomial(untouched), 1)
+            out = out + factor * Poly.term(untouched, 1)
         return out
 
     def collect(self, namespaces) -> Dict[Monomial, "Poly"]:
@@ -449,11 +450,10 @@ def _invert_power(v: VarId, repl: Poly, e: int) -> Poly:
             f"{v} occurs with exponent {e} but is bound to the non-monomial {repl}")
     (m, q), = repl.terms.items()
     try:
-        inv = monomial({w: k * e for w, k in m})
+        return Poly.term({w: k * e for w, k in m}, q ** e)
     except ValueError as exc:
         raise NonInvertibleSubstitution(
             f"{v} occurs with exponent {e}; inverse of {repl} is not a valid monomial") from exc
-    return Poly.term(inv, q ** e)
 
 
 # ---- text grammar -----------------------------------------------------
@@ -550,5 +550,5 @@ def parse_poly(text: str) -> Poly:
                 raise ParseError("missing operator between factors")
         if expect_factor:
             raise ParseError("dangling '*' in term")
-        result = result + Poly.term(monomial(mono), coeff)
+        result = result + Poly.term(mono, coeff)
     return result

@@ -370,61 +370,76 @@ class TestHessianExamples:
         assert not component.is_zero()
 
 
-class TestSympyOracle:
-    """N and H from their definitions on vector fields, with Lie
-    brackets computed by sympy, against every component of the
-    component-formula torsions:
+def lie_bracket_torsions(a):
+    """N and H of the operator field a from their definitions on vector
+    fields, with Lie brackets computed by sympy:
 
         N(X,Y) = [AX,AY] - A[AX,Y] - A[X,AY] + A^2[X,Y]
         H(X,Y) = A^2 N(X,Y) + N(AX,AY) - A(N(AX,Y) + N(X,AY))
 
     with N^i_jk = N(e_j, e_k)^i and H^i_jk = H(e_j, e_k)^i for the
-    coordinate fields e_j."""
+    coordinate fields e_j.  Returns (elem, nij, haa): elem maps a Poly
+    into the sympy polynomial ring of a's variables and x1..xn, and nij
+    and haa map each (i, j, k) to a ring element."""
+    sympy = pytest.importorskip("sympy")
+    n = a.n
+    names = sorted({str(v) for c in a.components for v in c.variables()}
+                   | {f"x{s + 1}" for s in range(n)})
+    R, *gens = sympy.ring(names, sympy.QQ)
+    xs = [gens[names.index(f"x{s + 1}")] for s in range(n)]
+
+    def elem(p):
+        return R(sympy.sympify(str(p).replace("^", "**")))
+
+    A = [[elem(a[(i, j)]) for j in range(n)] for i in range(n)]
+
+    def add(*vectors):
+        return [sum(cs, R.zero) for cs in zip(*vectors)]
+
+    def neg(v):
+        return [-c for c in v]
+
+    def apply(x):
+        return add(*([A[i][j] * x[j] for i in range(n)] for j in range(n)))
+
+    def bracket(x, y):
+        return add(*([x[j] * y[i].diff(xs[j]) - y[j] * x[i].diff(xs[j])
+                      for i in range(n)] for j in range(n)))
+
+    def nij(x, y):
+        ax, ay = apply(x), apply(y)
+        return add(bracket(ax, ay), neg(apply(bracket(ax, y))),
+                   neg(apply(bracket(x, ay))), apply(apply(bracket(x, y))))
+
+    def haa(x, y):
+        ax, ay = apply(x), apply(y)
+        return add(apply(apply(nij(x, y))), nij(ax, ay),
+                   neg(apply(add(nij(ax, y), nij(x, ay)))))
+
+    e = [[R(int(i == j)) for i in range(n)] for j in range(n)]
+
+    def components(torsion):
+        out = {}
+        for j in range(n):
+            for k in range(n):
+                v = torsion(e[j], e[k])
+                for i in range(n):
+                    out[(i, j, k)] = v[i]
+        return out
+
+    return elem, components(nij), components(haa)
+
+
+class TestSympyOracle:
+    """Every component of the component-formula torsions against
+    `lie_bracket_torsions`."""
 
     @staticmethod
     def assert_matches(a):
-        sympy = pytest.importorskip("sympy")
-        n = a.n
-        names = sorted({str(v) for c in a.components for v in c.variables()}
-                       | {f"x{s + 1}" for s in range(n)})
-        R, *gens = sympy.ring(names, sympy.QQ)
-        xs = [gens[names.index(f"x{s + 1}")] for s in range(n)]
-
-        def elem(p):
-            return R(sympy.sympify(str(p).replace("^", "**")))
-
-        A = [[elem(a[(i, j)]) for j in range(n)] for i in range(n)]
-
-        def add(*vectors):
-            return [sum(cs, R.zero) for cs in zip(*vectors)]
-
-        def neg(v):
-            return [-c for c in v]
-
-        def apply(x):
-            return add(*([A[i][j] * x[j] for i in range(n)] for j in range(n)))
-
-        def bracket(x, y):
-            return add(*([x[j] * y[i].diff(xs[j]) - y[j] * x[i].diff(xs[j])
-                          for i in range(n)] for j in range(n)))
-
-        def nij(x, y):
-            ax, ay = apply(x), apply(y)
-            return add(bracket(ax, ay), neg(apply(bracket(ax, y))),
-                       neg(apply(bracket(x, ay))), apply(apply(bracket(x, y))))
-
-        def haa(x, y):
-            ax, ay = apply(x), apply(y)
-            return add(apply(apply(nij(x, y))), nij(ax, ay),
-                       neg(apply(add(nij(ax, y), nij(x, ay)))))
-
-        e = [[R(int(i == j)) for i in range(n)] for j in range(n)]
+        elem, nij, haa = lie_bracket_torsions(a)
         for oracle, computed in ((nij, nijenhuis(a)), (haa, haantjes(a))):
-            for j in range(n):
-                for k in range(n):
-                    v = oracle(e[j], e[k])
-                    for i in range(n):
-                        assert v[i] == elem(computed[(i, j, k)]), (i, j, k)
+            for idx, v in oracle.items():
+                assert v == elem(computed[idx]), idx
 
     def test_mixed_cubic(self):
         op = hessian_operator(parse_poly("x1^3 + x1*x2*x3"), 3)

@@ -8,13 +8,15 @@ import pytest
 
 from haantjeskit import checks, linalg
 from haantjeskit.killing import catalog
+from haantjeskit.haantjes import as_operator
 from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
                                    NotCompatible, abundant_haantjes, build_integral,
                                    condition_6b, functional_independence,
-                                   haantjes_at, hamiltonian, poisson,
-                                   random_rational, structural_tensor_at)
+                                   haantjes_at, haantjes_kernel, hamiltonian,
+                                   poisson, random_rational, structural_tensor_at)
 from haantjeskit.symalg import Poly, monomial, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField
+from .test_haantjes import lie_bracket_torsions
 from .test_tensor import identity_operator
 
 
@@ -270,15 +272,16 @@ class TestStructuralTensor:
         x0 = [random_rational(rng) for _ in range(3)]
         p = structural_tensor_at(fam, x0)
         binding = {var(f"x{i + 1}"): q for i, q in enumerate(x0)}
+        pairs = [(a, b) for a in range(3) for b in range(a, 3)]
         for elem in fam.basis():
             grads = partial_derivative(elem)
+            components = {var(f"c{u}"): elem[pair].evaluate(binding)
+                          for u, pair in enumerate(pairs)}
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
                         direct = grads[(i, j, k)].evaluate(binding)
-                        via_p = sum(
-                            p(a, b, i, j, k) * elem[(a, b)].evaluate(binding)
-                            for a in range(3) for b in range(3))
+                        via_p = p[(i, j, k)].evaluate(components)
                         assert direct == via_p
 
     def test_abundant_formula_matches_direct(self):
@@ -290,6 +293,36 @@ class TestStructuralTensor:
             x0 = [random_rational(rng) for _ in range(3)]
             p = structural_tensor_at(fam, x0)
             assert abundant_haantjes(p, k, x0) == haantjes_at(k, x0)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_abundant_formula_matches_lie_bracket_oracle(self, seed):
+        # haantjes_at and the kernel both run haantjes.haantjes, so the
+        # abundant side is also held against the vector-field definition
+        sympy = pytest.importorskip("sympy")
+        _, fam = catalog()["sw1"]
+        rng = random.Random(seed)
+        k = fam.specialize({var(f"b{i}"): random_rational(rng) for i in range(1, 7)})
+        elem, _, haa = lie_bracket_torsions(as_operator(k))
+        for _ in range(2):
+            x0 = [random_rational(rng) for _ in range(3)]
+            h = abundant_haantjes(structural_tensor_at(fam, x0), k, x0)
+            point = [(elem(Poly.variable(var(f"x{s + 1}"))),
+                      sympy.QQ(q.numerator, q.denominator)) for s, q in enumerate(x0)]
+            for (i, j, kk), v in haa.items():
+                value = v.evaluate(point)
+                assert h[i][j][kk] == Fraction(int(value.numerator), int(value.denominator))
+
+    def test_kernel_depends_only_on_p(self):
+        # every form is free of x and a quartic form in the components
+        _, fam = catalog()["sw1"]
+        rng = random.Random(5)
+        x0 = [random_rational(rng) for _ in range(3)]
+        forms = haantjes_kernel(structural_tensor_at(fam, x0))
+        assert len(forms) == 27 and any(not f.is_zero() for f in forms)
+        cs = {var(f"c{u}") for u in range(6)}
+        for f in forms:
+            for m in f.terms:
+                assert {v for v, _ in m} <= cs and sum(e for _, e in m) == 4
 
 
 class TestCondition6b:

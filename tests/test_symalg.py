@@ -388,6 +388,13 @@ class TestCanonicalResults:
         with pytest.raises(ValueError):
             Poly.variable(b1, -1)
 
+    def test_term_validates_its_key(self):
+        x1, x2, b1 = var("x1"), var("x2"), var("b1")
+        assert Poly.term(((x2, 1), (x1, 1)), 1) == parse_poly("x1*x2")
+        assert Poly.term({x1: 2, x2: 0}, Fraction(1, 2)) == parse_poly("1/2*x1^2")
+        with pytest.raises(ValueError):
+            Poly.term(((b1, -1),), 1)
+
 
 class TestEquality:
     def test_poly_is_unhashable(self):
