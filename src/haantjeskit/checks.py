@@ -206,8 +206,8 @@ def _component_label(tag: str, n: int, i: int, j: int, k: int) -> str:
 
 def _nonzero_components(tag: str, t: TensorField) -> Dict[str, str]:
     """The nonzero components of a (1,2) tensor, printed, by label."""
-    return {_component_label(tag, t.n, i + 1, j + 1, k + 1): str(t[(i, j, k)])
-            for (i, j, k) in t.indices() if not t[(i, j, k)].is_zero()}
+    return {_component_label(tag, t.n, i + 1, j + 1, k + 1): str(c)
+            for (i, j, k), c in zip(t.indices(), t.components) if not c.is_zero()}
 
 
 def check_hessian_cubic() -> CheckResult:

@@ -73,15 +73,15 @@ def _difference(p: IntTerms, q: IntTerms) -> IntTerms:
     return acc
 
 
-def _encode(a: TensorField):
-    """A and dA as int term maps, at[i][j] for A^i_j and grad[i][j][k]
-    for dA^i_j/dx_k, both scaled by D, and `decode(terms, p)`, the Poly
+def _encode(a: TensorField, da: TensorField):
+    """A and its derivative layer da, da[(i, j, k)] = dA^i_j/dx_k, as
+    int term maps, at[i][j] for A^i_j and grad[i][j][k] for
+    da[(i, j, k)], both scaled by D, and `decode(terms, p)`, the Poly
     of an int term map scaled by D^p.  Each distinct key is decoded
     once per call."""
     _require_operator(a)
     n = a.n
     r = range(n)
-    da = partial_derivative(a)  # da[(i, j, k)] = d A^i_j / dx_k
     polys = a.components + da.components
     keys = [m for p in polys for m in p.terms]
     variables = sorted({v for m in keys for v, _ in m}, key=_var_key)
@@ -169,7 +169,7 @@ def nijenhuis(a: TensorField) -> TensorField:
     coefficient map per component; N^i_kj is filled in as -N^i_jk and
     the diagonal N^i_jj is zero.
     """
-    at, grad, decode = _encode(a)
+    at, grad, decode = _encode(a, partial_derivative(a))
     nt = _nijenhuis(a.n, at, grad)
     return _skew_tensor(a.n, lambda i, j, k: decode(nt[i][j][k], 2))
 
@@ -192,9 +192,16 @@ def haantjes(a: TensorField) -> TensorField:
     -H^i_jk and the diagonal H^i_jj is zero.  Over the common
     denominator D, N is scaled by D^2, A^2 by D^2, Q by D^3 and H by D^4.
     """
+    return _haantjes(a, partial_derivative(a))
+
+
+def _haantjes(a: TensorField, da: TensorField) -> TensorField:
+    """The Haantjes torsion of the 1-jet (A, dA) at a point: the formula
+    of `haantjes` with da[(i, j, k)] read as dA^i_j/dx_k, whether or not
+    da is the derivative of a."""
     n = a.n
     r = range(n)
-    at, grad, decode = _encode(a)
+    at, grad, decode = _encode(a, da)
     nt = _nijenhuis(n, at, grad)
     a2 = [[_sum_products((1, at[i][s], at[s][b]) for s in r) for b in r] for i in r]
     q = [[[_sum_products((1, nt[i][s][b], at[s][j]) for s in r) for b in r]

@@ -2,7 +2,8 @@
 motion, functional independence, and the structural tensor P of an
 abundant family (grad K = P K at a point, a (0,3) tensor of linear forms
 in symbols c_u for the components of K), whose Haantjes torsion there is
-a quartic form in the c_u, computed by `haantjes.haantjes` itself.
+a quartic form in the c_u, computed by the torsion formula of
+`haantjes` on the 1-jet (K, P).
 
 Phase functions are plain Polys on T*R^n: Laurent in the positions
 x1..xn, polynomial in the momenta p1..pn (`symalg.monomial` rejects a
@@ -23,7 +24,7 @@ from . import linalg
 from .symalg import Poly, VarId
 from .tensor import TensorError, TensorField, exterior_derivative, partial_derivative
 from .killing import KillingFamily, PotentialSpec
-from .haantjes import as_operator, haantjes, pullback_differential
+from .haantjes import _haantjes, as_operator, haantjes, pullback_differential
 
 
 class MechanicsError(Exception):
@@ -230,24 +231,14 @@ def haantjes_kernel(p: TensorField) -> List[Poly]:
     """The Haantjes torsion at a point where grad K = P K, as the n^3
     quartic forms H_ijk in the component symbols c_u of K, row-major.
 
-    The torsion at a point depends only on the operator and its first
-    derivatives there, so H_ijk is the x-free part of the torsion of the
-    first-order operator K + sum_m x_m (grad_m K), K the generic
-    symmetric tensor K_ab = c_u and grad_m K_ab = p[(a, b, m)].  The
-    forms depend only on P, not on the member contracted into them.
+    The torsion at a point depends only on the 1-jet (K, grad K) there,
+    so H_ijk is the torsion of the generic symmetric K_ab = c_u with
+    derivative layer P (on Euclidean R^n, p[(a, b, m)] = grad_m K^a_b).
+    The forms depend only on P, not on the member contracted into them.
     """
-    n = p.n
-    symbol = {pair: Poly.variable(VarId("c", u)) for u, pair in enumerate(_pairs(n))}
-
-    def comp(idx):
-        return sum((Poly.variable(_x(m + 1)) * p[idx + (m,)] for m in range(n)),
-                   symbol[tuple(sorted(idx))])
-
-    h = haantjes(as_operator(TensorField.from_function(n, (0, 2), comp)))
-    # x sorts first in a monomial, so a monomial is x-free exactly when
-    # its first variable is not an x
-    return [Poly._raw({m: q for m, q in c.terms.items() if not m or m[0][0].ns != "x"})
-            for c in h.components]
+    symbol = {pair: Poly.variable(VarId("c", u)) for u, pair in enumerate(_pairs(p.n))}
+    k = TensorField.from_function(p.n, (0, 2), lambda idx: symbol[tuple(sorted(idx))])
+    return _haantjes(as_operator(k), p).components
 
 
 def abundant_haantjes(p: TensorField, k: TensorField, x0: Sequence[Fraction]):

@@ -61,16 +61,20 @@ class TensorField:
     def valence(self) -> Tuple[int, int]:
         return (self.r, self.s)
 
-    def _offset(self, idx: Tuple[int, ...]) -> int:
-        off = 0
-        for i in idx:
-            off = off * self.n + i
-        return off
-
     def __getitem__(self, idx) -> Poly:
+        """The component at idx; IndexError unless idx has r + s
+        entries, each in range(n)."""
         if isinstance(idx, int):
             idx = (idx,)
-        return self.components[self._offset(idx)]
+        if len(idx) != self.r + self.s:
+            raise IndexError(f"expected {self.r + self.s} indices, got {idx}")
+        n = self.n
+        off = 0
+        for i in idx:
+            if not 0 <= i < n:
+                raise IndexError(f"index {idx} out of range for dimension {n}")
+            off = off * n + i
+        return self.components[off]
 
     def indices(self):
         return itertools.product(range(self.n), repeat=self.r + self.s)
@@ -109,12 +113,9 @@ class TensorField:
 
 def partial_derivative(t: TensorField) -> TensorField:
     """Flat covariant derivative; appends one covariant slot (last)."""
-    n = t.n
-
-    def comp(idx):
-        return t[idx[:-1]].diff(VarId("x", idx[-1] + 1))
-
-    return TensorField.from_function(n, (t.r, t.s + 1), comp)
+    xs = [VarId("x", k + 1) for k in range(t.n)]
+    # row-major, so the appended slot varies fastest
+    return TensorField(t.n, (t.r, t.s + 1), [c.diff(x) for c in t.components for x in xs])
 
 
 def exterior_derivative(w: TensorField) -> TensorField:

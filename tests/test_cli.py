@@ -1,6 +1,7 @@
 """Command-line front end: reports, exit codes, JSON stability."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -210,12 +211,9 @@ class TestSystemTable:
     def test_seeded_checks_are_those_taking_a_seed(self):
         # run_named passes the seed only to _SEEDED, so a randomized
         # check missing from it would silently ignore reproduce --seed
-        def takes_seed(fn):
-            code = fn.__code__
-            return "seed" in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-
         registered = checks.ALL_CHECKS + checks.SYSTEM_CHECKS
-        assert checks._SEEDED == {name for name, fn in registered if takes_seed(fn)}
+        assert checks._SEEDED == {name for name, fn in registered
+                                  if "seed" in inspect.signature(fn).parameters}
 
 
 class TestReproduce:

@@ -66,10 +66,13 @@ def matrix_operator(rows):
         [[parse_poly(c) for c in row] for row in rows]))
 
 
-def reference_nijenhuis(a):
-    """The defining sum of N^i_jk for every component, diagonal included."""
+def reference_nijenhuis(a, da=None):
+    """The defining sum of N^i_jk for every component, diagonal included,
+    with da[(i, j, k)] read as d A^i_j / dx_k (by default the derivative
+    of a)."""
     n = a.n
-    da = partial_derivative(a)  # da[(i, j, k)] = d A^i_j / dx_k
+    if da is None:
+        da = partial_derivative(a)
 
     def comp(idx):
         i, j, k = idx
@@ -83,10 +86,11 @@ def reference_nijenhuis(a):
     return TensorField.from_function(n, (1, 2), comp)
 
 
-def reference_haantjes(a):
-    """The defining sum of H^i_jk for every component, diagonal included."""
+def reference_haantjes(a, da=None):
+    """The defining sum of H^i_jk for every component, diagonal included,
+    from reference_nijenhuis(a, da)."""
     n = a.n
-    nij = reference_nijenhuis(a)
+    nij = reference_nijenhuis(a, da)
 
     def comp(idx):
         i, j, k = idx

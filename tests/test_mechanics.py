@@ -8,7 +8,7 @@ import pytest
 
 from haantjeskit import checks, linalg
 from haantjeskit.killing import catalog
-from haantjeskit.haantjes import as_operator
+from haantjeskit.haantjes import as_operator, haantjes
 from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
                                    NotCompatible, abundant_haantjes, build_integral,
                                    condition_6b, functional_independence,
@@ -249,6 +249,11 @@ class TestFunctionalIndependence:
         assert len(calls) == 10
 
 
+# the catalog families whose basis evaluation matrix is invertible at
+# generic points, so that structural_tensor_at applies
+ABUNDANT = ["sw1", "oo", "iv"]
+
+
 class TestStructuralTensor:
     def test_oscillator_vanishes(self):
         _, fam = catalog()["oscillator"]
@@ -312,9 +317,10 @@ class TestStructuralTensor:
                 value = v.evaluate(point)
                 assert h[i][j][kk] == Fraction(int(value.numerator), int(value.denominator))
 
-    def test_kernel_depends_only_on_p(self):
+    @pytest.mark.parametrize("name", ABUNDANT)
+    def test_kernel_depends_only_on_p(self, name):
         # every form is free of x and a quartic form in the components
-        _, fam = catalog()["sw1"]
+        _, fam = catalog()[name]
         rng = random.Random(5)
         x0 = [random_rational(rng) for _ in range(3)]
         forms = haantjes_kernel(structural_tensor_at(fam, x0))
@@ -323,6 +329,25 @@ class TestStructuralTensor:
         for f in forms:
             for m in f.terms:
                 assert {v for v, _ in m} <= cs and sum(e for _, e in m) == 4
+
+    @pytest.mark.parametrize("name", ABUNDANT)
+    def test_kernel_matches_the_x_free_torsion_of_the_first_order_operator(self, name):
+        # The torsion at a point reads only the operator and its first
+        # derivatives there, so the kernel is also the x-free part of the
+        # torsion of the field K + sum_m x_m P_m, K_ab = c_u.
+        _, fam = catalog()[name]
+        symbol = {pair: Poly.variable(var(f"c{u}"))
+                  for u, pair in enumerate((a, b) for a in range(3) for b in range(a, 3))}
+        rng = random.Random(6)
+        for _ in range(2):
+            p = structural_tensor_at(fam, [random_rational(rng) for _ in range(3)])
+            field = TensorField.from_function(3, (0, 2), lambda idx: sum(
+                (Poly.variable(var(f"x{m + 1}")) * p[idx + (m,)] for m in range(3)),
+                symbol[tuple(sorted(idx))]))
+            h = haantjes(as_operator(field))
+            x_free = [Poly({m: q for m, q in c.terms.items() if all(v.ns != "x" for v, _ in m)})
+                      for c in h.components]
+            assert haantjes_kernel(p) == x_free
 
 
 class TestCondition6b:

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from haantjeskit.haantjes import haantjes, nijenhuis  # noqa: E402
+from haantjeskit.haantjes import _haantjes, haantjes, nijenhuis  # noqa: E402
 from haantjeskit.symalg import Poly, monomial, parse_poly, var  # noqa: E402
 from haantjeskit.tensor import TensorField  # noqa: E402
 
@@ -61,20 +61,21 @@ def test_round_trip_of_a_fractional_laurent_poly():
     assert parse_poly(str(f)) == f
 
 
-def operators(n):
-    """Operators on R^n with at most two terms per entry, x-exponents
-    -3..3, b-exponents 0..2 and denominators up to 6."""
+def tensors(n, valence=(1, 1)):
+    """Tensors on R^n, operators by default, with at most two terms per
+    entry, x-exponents -3..3, b-exponents 0..2 and denominators up to 6."""
     variables = [var(f"x{s + 1}") for s in range(n)] + [var("b1"), var("b2")]
     entry_monomials = st.fixed_dictionaries(
         {}, optional={v: st.integers(-3, 3) if v.ns == "x" else st.integers(0, 2)
                       for v in variables}).map(monomial)
     entries = st.dictionaries(entry_monomials, coefficients, max_size=2).map(Poly)
-    return st.lists(entries, min_size=n * n, max_size=n * n).map(
-        lambda cs: TensorField(n, (1, 1), cs))
+    size = n ** sum(valence)
+    return st.lists(entries, min_size=size, max_size=size).map(
+        lambda cs: TensorField(n, valence, cs))
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(operators))
+@given(st.sampled_from([2, 3]).flatmap(tensors))
 def test_torsions_match_the_defining_sums(a):
     n, h = nijenhuis(a), haantjes(a)
     assert n == reference_nijenhuis(a)
@@ -82,3 +83,13 @@ def test_torsions_match_the_defining_sums(a):
     # No type enforces the monomial format, so every key the kernels
     # decode must be one that the validating builder returns unchanged.
     assert all(monomial(m) == m for t in (n, h) for c in t.components for m in c.terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(tensors(n), tensors(n, (1, 2)))))
+def test_jet_torsion_matches_the_defining_sum(jet):
+    # The abundant kernel passes a derivative layer that is not the
+    # derivative of its operator, so the torsion of a 1-jet (A, dA) must
+    # read dA as given, whatever A is.
+    a, da = jet
+    assert _haantjes(a, da) == reference_haantjes(a, da)

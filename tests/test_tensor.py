@@ -36,6 +36,14 @@ class TestBasics:
         t = TensorField.from_matrix(rows)
         assert t.matrix() == rows
 
+    @pytest.mark.parametrize("idx", [(0, 3), (0,), (0, 0, 1), (-1, 0), 0])
+    def test_index_checked(self, idx):
+        # without the check each would fold into a valid offset
+        t = TensorField.from_function(3, (0, 2), lambda ij: Poly.const(3 * ij[0] + ij[1]))
+        assert t[(2, 1)] == Poly.const(7)
+        with pytest.raises(IndexError):
+            t[idx]
+
     def test_algebra(self):
         rng = random.Random(0)
         a = random_tensor(rng, 2, (0, 2))
