@@ -94,8 +94,9 @@ def _encode(a: TensorField, da: TensorField):
         return {sum(e << shift[v] for v, e in m): q.numerator * (den // q.denominator)
                 for m, q in p.terms.items()}
 
-    at = [[encode(a[(i, j)]) for j in r] for i in r]
-    grad = [[[encode(da[(i, j, k)]) for k in r] for j in r] for i in r]
+    encoded = map(encode, polys)  # row-major, the order read below
+    at = [[next(encoded) for j in r] for i in r]
+    grad = [[[next(encoded) for k in r] for j in r] for i in r]
 
     mask = (1 << width) - 1
     half = 1 << (width - 1)
@@ -223,15 +224,9 @@ def pullback_differential(a: TensorField, u: Poly) -> TensorField:
     _require_operator(a)
     n = a.n
     grads = [u.diff(VarId("x", s + 1)) for s in range(n)]
-
-    def comp(idx):
-        (k,) = idx
-        total = Poly.zero()
-        for s in range(n):
-            total = total + a[(s, k)] * grads[s]
-        return total
-
-    return TensorField.from_function(n, (0, 1), comp)
+    return TensorField(n, (0, 1), [
+        sum((a.components[s * n + k] * grads[s] for s in range(n)), Poly.zero())
+        for k in range(n)])
 
 
 def conservation_check(a: TensorField, u: Poly) -> TensorField:
@@ -249,7 +244,7 @@ def is_haantjes_zero(a: TensorField) -> Tuple[bool, Optional[Tuple[int, int, int
     those are scanned.
     """
     h = haantjes(a)
-    for (i, j, k) in h.indices():
-        if j < k and not h[(i, j, k)].is_zero():
-            return False, (i + 1, j + 1, k + 1, h[(i, j, k)])
+    for (i, j, k), c in zip(h.indices(), h.components):
+        if j < k and not c.is_zero():
+            return False, (i + 1, j + 1, k + 1, c)
     return True, None

@@ -1,5 +1,5 @@
-"""Killing tensors on flat space and the compatible families of the
-second-order superintegrable systems this package reproduces.
+"""Killing tensors on flat space and the family of them compatible
+with a potential.
 
 Both the full valence-2 Killing space and a potential's compatible
 family are exact linear solves of one kind: the x-coefficients of the
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .symalg import Monomial, Poly, VarId, mono_mul, mono_sort_key, parse_poly
+from .symalg import Monomial, Poly, VarId, mono_mul, mono_sort_key
 from .tensor import TensorField, TensorError
 from .haantjes import as_operator, conservation_check
 
@@ -29,7 +29,7 @@ class KillingError(Exception):
 class KillingFamily:
     """Linear family of Killing tensors, components linear in the
     b-parameters and polynomial in x.  The basis is computed once, on
-    first use, so do not modify the tensor after that."""
+    first use, or handed over: do not modify the tensor."""
 
     def __init__(self, params: Tuple[VarId, ...], tensor: TensorField):
         self.params = params
@@ -55,10 +55,11 @@ class KillingFamily:
         return list(self._basis)
 
     def specialize(self, b: Mapping[VarId, object]) -> TensorField:
-        """Substitute all parameters; result is a single Killing tensor."""
-        missing = [p for p in self.params if p not in b]
-        if missing:
-            raise KillingError(f"unbound parameters: {missing}")
+        """Substitute exactly the parameters; result is a single Killing tensor."""
+        unbound = [str(p) for p in self.params if p not in b]
+        stray = [str(v) for v in b if v not in self.params]
+        if unbound or stray:
+            raise KillingError(f"unbound parameters {unbound}, non-parameters {stray}")
         binds = {p: Poly._coerce(v) for p, v in b.items()}
         return self.tensor.map(lambda c: c.substitute(binds))
 
@@ -88,9 +89,7 @@ def _solve(n: int, candidates: Sequence[TensorField],
     """
     cs = [((VarId("c", u), 1),) for u in range(len(candidates))]
     col = {c: u for u, c in enumerate(cs)}
-    # distinct (candidate, x-monomial) pairs give distinct monomials
-    generic = TensorField.from_function(n, (0, 2), lambda idx: Poly._raw(
-        {mono_mul(m, c): q for t, c in zip(candidates, cs) for m, q in t[idx].terms.items()}))
+    generic = _combination(n, candidates, cs)
     rows: List[List[Fraction]] = []
     for comp in residuals(generic):
         for coeff in comp.collect(("x",)).values():
@@ -100,14 +99,16 @@ def _solve(n: int, candidates: Sequence[TensorField],
             rows.append(row)
     echelon, _ = linalg.rref(linalg.nullspace(rows, ncols=len(cs)))
 
-    elements = []
-    for vec in echelon:
-        t = TensorField.zero(n, (0, 2))
-        for cand, q in zip(candidates, vec):
-            if q:
-                t = t + cand.scale(q)
-        elements.append(t)
-    return elements
+    return [sum((cand.scale(q) for cand, q in zip(candidates, vec) if q),
+                TensorField.zero(n, (0, 2))) for vec in echelon]
+
+
+def _combination(n: int, tensors: Sequence[TensorField],
+                 symbols: Sequence[Monomial]) -> TensorField:
+    """sum_u s_u T_u for (0,2) tensors T_u in x on R^n and distinct
+    monomials s_u off x, so no two terms share a monomial."""
+    return TensorField.from_function(n, (0, 2), lambda idx: Poly._raw(
+        {mono_mul(m, s): q for t, s in zip(tensors, symbols) for m, q in t[idx].terms.items()}))
 
 
 def span_equal(a: Sequence[TensorField], b: Sequence[TensorField]) -> bool:
@@ -191,9 +192,9 @@ def compatible_family(pot: PotentialSpec) -> KillingFamily:
     conservation residuals vanish identically).  It always contains the
     metric, so it is never empty.
 
-    When the resulting span coincides with the parametrized family of a
-    catalog system, that parametrization (the conventional b-labels) is
-    returned instead of the raw echelon basis.
+    The family is new on every call: its parameters b1..bm label the
+    reduced echelon basis of the solution, in order, and that basis is
+    handed to it, so basis() derives nothing.
     """
     n = pot.dimension
 
@@ -207,56 +208,7 @@ def compatible_family(pot: PotentialSpec) -> KillingFamily:
         return out
 
     elements = _solve(n, killing_space(n), residuals)
-    for _, fam in catalog().values():
-        if (fam.tensor.n == n and len(fam.params) == len(elements)
-                and span_equal(fam.basis(), elements)):
-            return fam
-
     params = tuple(VarId("b", i + 1) for i in range(len(elements)))
-    total = TensorField.zero(n, (0, 2))
-    for p, t in zip(params, elements):
-        total = total + t.map(lambda c, p=p: c * Poly.variable(p))
-    return KillingFamily(params=params, tensor=total)
-
-
-# ---- potential catalog ------------------------------------------------
-
-# name -> (potential generator texts, parameter indices, family matrix)
-_CATALOG_TABLE = {
-    "sw1": (["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"], (1, 2, 3, 4, 5, 6), [
-        ["b4*x2^2 + b5*x3^2 + b1", "-b4*x1*x2", "-b5*x1*x3"],
-        ["-b4*x1*x2", "b4*x1^2 + b6*x3^2 + b2", "-b6*x2*x3"],
-        ["-b5*x1*x3", "-b6*x2*x3", "b5*x1^2 + b6*x2^2 + b3"],
-    ]),
-    "oscillator": (["x1^2 + x2^2 + x3^2", "x1", "x2", "x3"], (1, 2, 3, 4, 5, 6), [
-        ["b1", "b4", "b5"],
-        ["b4", "b2", "b6"],
-        ["b5", "b6", "b3"],
-    ]),
-    "oo": (["4*x1^2 + 4*x2^2 + x3^2", "x1", "x2", "x3^-2"], (1, 2, 3, 4, 5, 6), [
-        ["b1", "b5", "-b4*x3"],
-        ["b5", "b2", "-b6*x3"],
-        ["-b4*x3", "-b6*x3", "2*b4*x1 + 2*b6*x2 + b3"],
-    ]),
-    "iv": (["4*x1^2 + x2^2 + x3^2", "x1", "x2^-2", "x3^-2"], (1, 2, 3, 4, 5, 6), [
-        ["b1", "-b6*x2", "-b4*x3"],
-        ["-b6*x2", "b5*x3^2 + 2*b6*x1 + b2", "-b5*x2*x3"],
-        ["-b4*x3", "-b5*x2*x3", "b5*x2^2 + 2*b4*x1 + b3"],
-    ]),
-    "nonmaximal-3d": (["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"], (1, 2, 3, 5), [
-        ["b5*x3^2 + b1", "0", "-b5*x1*x3"],
-        ["0", "b2", "0"],
-        ["-b5*x1*x3", "0", "b5*x1^2 + b3"],
-    ]),
-}
-
-
-@functools.cache
-def catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
-    """Potential catalog: name -> (potential, conventional family)."""
-    return {
-        name: (PotentialSpec(dimension=3, generators=[parse_poly(g) for g in gens]),
-               KillingFamily(params=tuple(VarId("b", i) for i in params),
-                             tensor=TensorField.from_matrix(
-                                 [[parse_poly(e) for e in row] for row in rows])))
-        for name, (gens, params, rows) in _CATALOG_TABLE.items()}
+    family = KillingFamily(params, _combination(n, elements, [((p, 1),) for p in params]))
+    family._basis = tuple(elements)
+    return family

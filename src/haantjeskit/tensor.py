@@ -123,8 +123,10 @@ def exterior_derivative(w: TensorField) -> TensorField:
     (dw)_jk = dw_k/dx_j - dw_j/dx_k."""
     if w.valence != (0, 1):
         raise TensorError(f"expected a 1-form, got valence {w.valence}")
-    dw = partial_derivative(w)  # dw[(k, j)] = d w_k / dx_j
-    return TensorField.from_function(w.n, (0, 2), lambda jk: dw[jk[::-1]] - dw[jk])
+    n = w.n
+    dw = partial_derivative(w).components  # dw[k * n + j] = d w_k / dx_j
+    return TensorField(n, (0, 2), [dw[k * n + j] - dw[j * n + k]
+                                   for j in range(n) for k in range(n)])
 
 
 def hessian_operator(f: Poly, n: int) -> TensorField:

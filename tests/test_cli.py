@@ -1,5 +1,6 @@
 """Command-line front end: reports, exit codes, JSON stability."""
 
+import ast
 import hashlib
 import inspect
 import itertools
@@ -19,7 +20,6 @@ from haantjeskit import checks
 from haantjeskit.checks import CheckResult
 from haantjeskit.cli import UnknownSystem, cmd_hessian, cmd_system, main
 from haantjeskit.haantjes import haantjes, nijenhuis
-from haantjeskit.killing import catalog
 from haantjeskit.symalg import Poly, parse_poly, var
 from haantjeskit.tensor import hessian_operator
 
@@ -191,22 +191,36 @@ class TestSystemCommand:
 
 
 class TestSystemTable:
-    def test_one_entry_per_catalog_system(self):
-        assert set(checks.SYSTEMS) == set(catalog())
+    def test_package_exports_the_checks_catalog(self):
+        # perfbench's child process builds it as haantjeskit.catalog()
+        assert haantjeskit.catalog is checks.catalog
+
+    @pytest.mark.parametrize("module", ["symalg", "tensor", "haantjes", "killing",
+                                        "ideals", "mechanics", "linalg"])
+    def test_math_layers_import_neither_checks_nor_cli(self, module):
+        # the reference data and the front end sit above the mathematics
+        source = Path(haantjeskit.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported |= {part for a in node.names for part in a.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= set((node.module or "").split(".")) | {a.name for a in node.names}
+        assert not imported & {"checks", "cli"}
 
     def test_radical_generators_are_cubics_in_b(self):
         params = {var(f"b{i}") for i in range(1, 7)}
-        for radical, _ in checks.SYSTEMS.values():
-            if radical is not None:
-                g = parse_poly(radical)
+        for row in checks.SYSTEMS.values():
+            if row.radical is not None:
+                g = parse_poly(row.radical)
                 assert set(g.variables()) <= params
                 assert {sum(e for _, e in m) for m in g.terms} == {3}
 
     def test_overrides_name_registered_checks(self):
         registered = dict(checks.ALL_CHECKS + checks.SYSTEM_CHECKS)
-        for _, overrides in checks.SYSTEMS.values():
-            assert set(overrides) <= set(checks.SYSTEM_ACTIONS)
-            assert set(overrides.values()) <= set(registered)
+        for row in checks.SYSTEMS.values():
+            assert set(row.overrides) <= set(checks.SYSTEM_ACTIONS)
+            assert set(row.overrides.values()) <= set(registered)
 
     def test_seeded_checks_are_those_taking_a_seed(self):
         # run_named passes the seed only to _SEEDED, so a randomized
@@ -242,7 +256,7 @@ import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 from haantjeskit import cli
-from haantjeskit.killing import catalog
+from haantjeskit.checks import catalog
 catalog()
 cli.cmd_system("sw1", [])
 cli.cmd_hessian("x1^3 + x1*x2*x3", 3)

@@ -1,5 +1,6 @@
 """Nijenhuis/Haantjes torsions and conservation-law checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from haantjeskit.haantjes import (as_operator, conservation_check, haantjes,
                                   is_haantjes_zero, nijenhuis,
                                   pullback_differential)
-from haantjeskit.killing import catalog
+from haantjeskit.checks import catalog
 from haantjeskit import symalg
 from haantjeskit.symalg import Poly, exponent, monomial, parse_poly, var
 from haantjeskit.tensor import (TensorError, TensorField, hessian_operator,
@@ -88,19 +89,29 @@ def reference_nijenhuis(a, da=None):
 
 def reference_haantjes(a, da=None):
     """The defining sum of H^i_jk for every component, diagonal included,
-    from reference_nijenhuis(a, da)."""
+    from reference_nijenhuis(a, da).
+
+    The sum runs term by term over (s, b).  Only the entry products that
+    several components share are formed once beforehand: A^i_s A^s_b
+    (shared by every (j, k)), A^s_j A^b_k and the bracket
+    N^s_bk A^b_j + N^s_jb A^b_k (both shared by every i)."""
     n = a.n
+    r = range(n)
     nij = reference_nijenhuis(a, da)
+    aa = {(i, s, b): a[(i, s)] * a[(s, b)] for i in r for s in r for b in r}
+    quad = list(itertools.product(r, repeat=4))
+    pair = {(s, j, b, k): a[(s, j)] * a[(b, k)] for s, j, b, k in quad}
+    bracket = {(s, b, j, k): nij[(s, b, k)] * a[(b, j)] + nij[(s, j, b)] * a[(b, k)]
+               for s, b, j, k in quad}
 
     def comp(idx):
         i, j, k = idx
         total = Poly.zero()
-        for s in range(n):
-            for b in range(n):
-                total = total + nij[(b, j, k)] * a[(i, s)] * a[(s, b)]
-                total = total + nij[(i, s, b)] * a[(s, j)] * a[(b, k)]
-                total = total - a[(i, s)] * (nij[(s, b, k)] * a[(b, j)]
-                                             + nij[(s, j, b)] * a[(b, k)])
+        for s in r:
+            for b in r:
+                total = total + nij[(b, j, k)] * aa[(i, s, b)]
+                total = total + nij[(i, s, b)] * pair[(s, j, b, k)]
+                total = total - a[(i, s)] * bracket[(s, b, j, k)]
         return total
 
     return TensorField.from_function(n, (1, 2), comp)

@@ -15,7 +15,8 @@ from haantjeskit.ideals import (Ideal, IdealsError, MonomialOrder,
                                 linear_factor, member, normal_form,
                                 primitive_normalized, radical_member,
                                 s_polynomial)
-from haantjeskit.killing import KillingFamily, catalog, killing_space
+from haantjeskit.checks import catalog
+from haantjeskit.killing import KillingFamily, killing_space
 from haantjeskit.symalg import Poly, exponent, monomial, parse_poly, var
 from haantjeskit.tensor import TensorField
 
@@ -345,7 +346,7 @@ class TestRadicalOracle:
         ideal = checks.system_ideal(name)
         gens = sympy.symbols([str(v) for v in ideal.order.variables])
         fs = [sympy.sympify(str(g).replace("^", "**")) for g in ideal.generators]
-        j = sympy.sympify(checks.SYSTEMS[name][0].replace("^", "**"))
+        j = sympy.sympify(checks.SYSTEMS[name].radical.replace("^", "**"))
         return sympy, gens, fs, j
 
     @pytest.mark.parametrize("name", ["sw1", "oo", "iv"])
@@ -474,7 +475,7 @@ class TestLinearFactorOracle:
 
     @pytest.mark.parametrize("system", ["sw1", "oo", "iv"])
     def test_radical_generators_have_no_linear_factor(self, system):
-        f = parse_poly(checks.SYSTEMS[system][0])
+        f = parse_poly(checks.SYSTEMS[system].radical)
         assert linear_factor(f) == [] == self.sympy_linear_factors(f)
 
 

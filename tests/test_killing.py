@@ -8,7 +8,9 @@ import pytest
 
 from haantjeskit.haantjes import (as_operator, conservation_check,
                                   is_haantjes_zero)
-from haantjeskit.killing import (KillingError, catalog, compatible_family,
+from haantjeskit import checks
+from haantjeskit.checks import catalog
+from haantjeskit.killing import (KillingError, KillingFamily, compatible_family,
                                  killing_residual, killing_space, span_equal,
                                  PotentialSpec)
 from haantjeskit.symalg import Poly, parse_poly, var
@@ -94,7 +96,18 @@ class TestCompatibleFamilies:
         fam = compatible_family(pot)
         assert len(fam.params) == 6
         assert span_equal(fam.basis(), reference.basis())
-        assert fam.tensor == reference.tensor
+        # the catalog family whose labels a family report prints
+        assert checks._conventional(fam) is reference
+
+    def test_new_family_on_the_solved_basis(self):
+        pot, reference = catalog()["sw1"]
+        fam = compatible_family(pot)
+        assert fam is not reference and fam is not compatible_family(pot)
+        assert fam.params == tuple(var(f"b{i}") for i in range(1, 7))
+        # handed over by the solve (TestSympyOracle holds it against the
+        # reduced echelon basis), and what the tensor's b-coefficients are
+        assert fam._basis is not None
+        assert fam.basis() == KillingFamily(fam.params, fam.tensor).basis()
 
     def test_nonmaximal_family_is_subfamily(self):
         _, sw1 = catalog()["sw1"]
@@ -184,17 +197,13 @@ class TestSympyOracle:
         fam = compatible_family(pot)
         assert len(null) == len(fam.params)
 
-        # compare spans on the tensors' coefficient vectors in x
-        oracle = [sum((v[u] * to_matrix(t) for u, t in enumerate(basis)),
-                      sympy.zeros(3, 3)) for v in null]
-        family = [to_matrix(t) for t in fam.basis()]
-        coeffs = [{(i, j, m): q for i in range(3) for j in range(3)
-                   for m, q in sympy.Poly(t[i, j], *xs).as_dict().items()}
-                  for t in oracle + family]
-        keys = sorted(set().union(*coeffs))
-        rows = sympy.Matrix([[c.get(key, 0) for key in keys] for c in coeffs])
-        rank = len(null)
-        assert rows[:rank, :].rank() == rows[rank:, :].rank() == rows.rank() == rank
+        # the family's basis is the reduced echelon basis of the
+        # nullspace, element by element
+        echelon = sympy.Matrix.hstack(*null).T.rref()[0]
+        oracle = [sum((echelon[r, u] * to_matrix(t) for u, t in enumerate(basis)),
+                      sympy.zeros(3, 3)) for r in range(len(null))]
+        for t, expected in zip(fam.basis(), oracle):
+            assert (to_matrix(t) - expected).expand() == sympy.zeros(3, 3)
 
 
 class TestFamilyOperations:
@@ -208,6 +217,14 @@ class TestFamilyOperations:
         _, fam = catalog()["sw1"]
         with pytest.raises(KillingError):
             fam.specialize({var("b1"): 1})
+
+    @pytest.mark.parametrize("name, stray", [("sw1", "x1"), ("nonmaximal-3d", "b4")])
+    def test_specialize_binds_only_parameters(self, name, stray):
+        # substituting x1 as well would return a tensor that is not Killing
+        _, fam = catalog()[name]
+        binding = {p: Fraction(1) for p in fam.params}
+        with pytest.raises(KillingError):
+            fam.specialize({**binding, var(stray): Fraction(2)})
 
     def test_basis_linearity(self):
         _, fam = catalog()["iv"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from haantjeskit import checks, linalg
-from haantjeskit.killing import catalog
+from haantjeskit.checks import catalog
 from haantjeskit.haantjes import as_operator, haantjes
 from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
                                    NotCompatible, abundant_haantjes, build_integral,

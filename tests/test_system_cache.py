@@ -29,10 +29,10 @@ def test_import_and_catalog_fill_no_cache():
     # nor compute any catalog family's basis: the set-up is timed
     code = ("import haantjeskit.cli\n"
             "from haantjeskit import checks, killing\n"
-            "killing.catalog()\n"
+            "checks.catalog()\n"
             "print([f.cache_info().currsize for f in (checks.system_ideal, "
             "checks.system_radical, killing.killing_space)],\n"
-            "      [fam._basis for _, fam in killing.catalog().values()])\n")
+            "      [fam._basis for _, fam in checks.catalog().values()])\n")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
     assert out.strip() == "[0, 0, 0] [None, None, None, None, None]"
