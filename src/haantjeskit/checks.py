@@ -51,7 +51,6 @@ class System(NamedTuple):
     """The reference data of one catalog system on R^3: the one table
     row a check or action reads for it."""
     potential: List[str]  # the texts of its potential's generators
-    params: Tuple[int, ...]  # the indices i of the family's parameters b_i
     family: List[List[str]]  # the matrix of its conventional family
     radical: Optional[str]  # radical generator; None for a zero ideal
     overrides: Dict[str, str]  # action -> the named check that replaces it
@@ -59,7 +58,7 @@ class System(NamedTuple):
 
 SYSTEMS: Dict[str, System] = {
     "sw1": System(
-        ["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"], (1, 2, 3, 4, 5, 6),
+        ["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"],
         [["b4*x2^2 + b5*x3^2 + b1", "-b4*x1*x2", "-b5*x1*x3"],
          ["-b4*x1*x2", "b4*x1^2 + b6*x3^2 + b2", "-b6*x2*x3"],
          ["-b5*x1*x3", "-b6*x2*x3", "b5*x1^2 + b6*x2^2 + b3"]],
@@ -68,24 +67,24 @@ SYSTEMS: Dict[str, System] = {
                  "linear-subspace": "sw1-no-linear-subspace",
                  "branches": "sw1-branch-substitutions"}),
     "oscillator": System(
-        ["x1^2 + x2^2 + x3^2", "x1", "x2", "x3"], (1, 2, 3, 4, 5, 6),
+        ["x1^2 + x2^2 + x3^2", "x1", "x2", "x3"],
         [["b1", "b4", "b5"], ["b4", "b2", "b6"], ["b5", "b6", "b3"]],
         None, {"family": "oscillator-all-haantjes-zero",
                "ideal": "oscillator-haantjes-zero-ideal"}),
     "oo": System(
-        ["4*x1^2 + 4*x2^2 + x3^2", "x1", "x2", "x3^-2"], (1, 2, 3, 4, 5, 6),
+        ["4*x1^2 + 4*x2^2 + x3^2", "x1", "x2", "x3^-2"],
         [["b1", "b5", "-b4*x3"],
          ["b5", "b2", "-b6*x3"],
          ["-b4*x3", "-b6*x3", "2*b4*x1 + 2*b6*x2 + b3"]],
         "b1*b4*b6 - b2*b4*b6 - b4^2*b5 + b5*b6^2", {}),
     "iv": System(
-        ["4*x1^2 + x2^2 + x3^2", "x1", "x2^-2", "x3^-2"], (1, 2, 3, 4, 5, 6),
+        ["4*x1^2 + x2^2 + x3^2", "x1", "x2^-2", "x3^-2"],
         [["b1", "-b6*x2", "-b4*x3"],
          ["-b6*x2", "b5*x3^2 + 2*b6*x1 + b2", "-b5*x2*x3"],
          ["-b4*x3", "-b5*x2*x3", "b5*x2^2 + 2*b4*x1 + b3"]],
         "b1*b4*b5 - b2*b4*b5 + b4^2*b6 - b1*b5*b6 + b3*b5*b6 - b4*b6^2", {}),
     "nonmaximal-3d": System(
-        ["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"], (1, 2, 3, 5),
+        ["x1^2 + x2^2 + x3^2", "x1^-2", "x2^-2", "x3^-2"],
         [["b5*x3^2 + b1", "0", "-b5*x1*x3"],
          ["0", "b2", "0"],
          ["-b5*x1*x3", "0", "b5*x1^2 + b3"]],
@@ -96,12 +95,15 @@ SYSTEMS: Dict[str, System] = {
 @functools.cache
 def catalog() -> Dict[str, Tuple[PotentialSpec, KillingFamily]]:
     """name -> (potential, conventional family), built from SYSTEMS once
-    per process.  Every caller shares the objects: do not modify them."""
-    return {name: (PotentialSpec(3, [parse_poly(g) for g in row.potential]),
-                   KillingFamily(tuple(VarId("b", i) for i in row.params),
-                                 TensorField.from_matrix(
-                                     [[parse_poly(e) for e in r] for r in row.family])))
-            for name, row in SYSTEMS.items()}
+    per process; a family's parameters are the b's of its matrix, by
+    index.  Every caller shares the objects: do not modify them."""
+    out = {}
+    for name, row in SYSTEMS.items():
+        tensor = TensorField.from_matrix([[parse_poly(e) for e in r] for r in row.family])
+        params = sorted({v for c in tensor.components for v in c.variables() if v.ns == "b"})
+        out[name] = (PotentialSpec(3, [parse_poly(g) for g in row.potential]),
+                     KillingFamily(tuple(params), tensor))
+    return out
 
 
 def _conventional(fam: KillingFamily) -> KillingFamily:

@@ -5,8 +5,10 @@ Both the full valence-2 Killing space and a potential's compatible
 family are exact linear solves of one kind: the x-coefficients of the
 residual of a generic combination of candidate tensors (the degree-<=2
 component ansatz, or the Killing basis) are linear conditions on the
-combination's coefficients.  The tests hold the Killing space against
-the classical construction from symmetric products of Killing vectors.
+combination's coefficients.  The Killing residual K_(ij,k) is read off
+the derivative table of `tensor.partial_derivative`.  The tests hold the
+Killing space against the classical construction from symmetric
+products of Killing vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .symalg import Monomial, Poly, VarId, mono_mul, mono_sort_key
-from .tensor import TensorField, TensorError
+from .tensor import TensorField, TensorError, partial_derivative
 from .haantjes import as_operator, conservation_check
 
 
@@ -140,15 +142,13 @@ def killing_residual(k: TensorField) -> TensorField:
     """Symmetrized derivative K_(ij,k); identically zero for Killing tensors."""
     if k.valence != (0, 2):
         raise TensorError("Killing residual needs a (0,2) tensor")
-    n = k.n
+    d = partial_derivative(k)  # d[(i, j, m)] = d_m K_ij
 
     def comp(idx):
         i, j, m = idx
-        return (k[(i, j)].diff(_x(m + 1))
-                + k[(j, m)].diff(_x(i + 1))
-                + k[(m, i)].diff(_x(j + 1)))
+        return d[(i, j, m)] + d[(j, m, i)] + d[(m, i, j)]
 
-    return TensorField.from_function(n, (0, 3), comp)
+    return TensorField.from_function(k.n, (0, 3), comp)
 
 
 @functools.cache

@@ -3,7 +3,12 @@ motion, functional independence, and the structural tensor P of an
 abundant family (grad K = P K at a point, a (0,3) tensor of linear forms
 in symbols c_u for the components of K), whose Haantjes torsion there is
 a quartic form in the c_u, computed by the torsion formula of
-`haantjes` on the 1-jet (K, P).
+`haantjes` on the 1-jet (K, P).  The pointwise torsions `haantjes_at`
+and `abundant_haantjes` return the n^3 values H_ijk row-major, like
+`TensorField.components`, at a point that must have n coordinates.
+Position derivatives of a tensor field are read off
+`tensor.partial_derivative`: `condition_6b` contracts its tables of
+first and second derivatives of K.
 
 Phase functions are plain Polys on T*R^n: Laurent in the positions
 x1..xn, polynomial in the momenta p1..pn (`symalg.monomial` rejects a
@@ -16,6 +21,7 @@ generators g_r of a PotentialSpec (a0 for the first), so H = sum p_k^2 + V.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -163,20 +169,11 @@ def functional_independence(fs: Sequence[Poly], seed: int = 0) -> int:
 # ---- structural tensor ------------------------------------------------
 
 
-def _point_binding(x0: Sequence[Fraction]):
+def _point_binding(x0: Sequence[Fraction], n: int):
+    """x_i -> x0[i - 1] for a point x0 of R^n."""
+    if len(x0) != n:
+        raise MechanicsError(f"expected a point of R^{n}, got {len(x0)} coordinates")
     return {_x(i + 1): Fraction(q) for i, q in enumerate(x0)}
-
-
-def evaluate_tensor(t: TensorField, x0: Sequence[Fraction]):
-    """Nested lists of the tensor's rational component values at x0."""
-    binding = _point_binding(x0)
-
-    def nest(prefix):
-        if len(prefix) == t.r + t.s:
-            return t[tuple(prefix)].evaluate(binding)
-        return [nest(prefix + (i,)) for i in range(t.n)]
-
-    return nest(())
 
 
 def _pairs(n: int) -> List[Tuple[int, int]]:
@@ -203,7 +200,7 @@ def structural_tensor_at(family: KillingFamily, x0: Sequence[Fraction]) -> Tenso
     if len(basis) != len(pairs):
         raise NonUniqueSolution(
             f"family has {len(basis)} parameters but {len(pairs)} component pairs")
-    binding = _point_binding(x0)
+    binding = _point_binding(x0, n)
     triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
     # one row per basis element: its components, then one right-hand
     # side per (i, j, k); reducing [M | all right-hand sides] once gives
@@ -241,25 +238,23 @@ def haantjes_kernel(p: TensorField) -> List[Poly]:
     return _haantjes(as_operator(k), p).components
 
 
-def abundant_haantjes(p: TensorField, k: TensorField, x0: Sequence[Fraction]):
-    """Haantjes torsion of K at x0 via the structural-tensor kernel.
-
-    Returns nested lists H[i][j][k]; agrees with the direct torsion
-    evaluation whenever grad K = P K holds at x0.
-    """
+def abundant_haantjes(p: TensorField, k: TensorField, x0: Sequence[Fraction]) -> List[Fraction]:
+    """Haantjes torsion of K at x0 via the structural-tensor kernel, as
+    the n^3 values H_ijk, row-major; agrees with haantjes_at whenever
+    grad K = P K holds at x0."""
     n = p.n
     if k.n != n:
         raise MechanicsError("dimension mismatch")
-    kv = evaluate_tensor(k, x0)
-    binding = {VarId("c", u): kv[a][b] for u, (a, b) in enumerate(_pairs(n))}
-    values = [form.evaluate(binding) for form in haantjes_kernel(p)]
-    return [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-            for i in range(n)]
+    binding = _point_binding(x0, n)
+    cs = {VarId("c", u): k[pair].evaluate(binding) for u, pair in enumerate(_pairs(n))}
+    return [form.evaluate(cs) for form in haantjes_kernel(p)]
 
 
-def haantjes_at(k: TensorField, x0: Sequence[Fraction]):
-    """Direct Haantjes evaluation of a (0,2) tensor at a point."""
-    return evaluate_tensor(haantjes(as_operator(k)), x0)
+def haantjes_at(k: TensorField, x0: Sequence[Fraction]) -> List[Fraction]:
+    """Direct Haantjes torsion of a (0,2) tensor at x0, as the n^3
+    values H_ijk, row-major."""
+    binding = _point_binding(x0, k.n)
+    return [c.evaluate(binding) for c in haantjes(as_operator(k)).components]
 
 
 # ---- third-order-structure compatibility condition --------------------
@@ -285,19 +280,18 @@ def condition_6b(k: TensorField, normalization: str = "half") -> TensorField:
     if det.is_zero():
         raise DegenerateK("det(K) vanishes identically")
     adj = linalg.ring_adjugate(mat, Poly.zero(), Poly.const(1))
-
-    def first(p_, l_, m_):  # K_{p[l,m]}
-        return (k[(p_, l_)].diff(_x(m_ + 1)) - k[(p_, m_)].diff(_x(l_ + 1))) * s
+    d1 = partial_derivative(k)  # d1[(a, b, c)] = d_c K_ab
+    d2 = partial_derivative(d1)  # d2[(a, b, c, e)] = d_e d_c K_ab
+    triples = list(itertools.product(range(n), repeat=3))
+    # K_{p[l,m]}, and Adj^{pq} K_{q[k,n]}, each computed once
+    first = {(p_, l_, m_): (d1[(p_, l_, m_)] - d1[(p_, m_, l_)]) * s for p_, l_, m_ in triples}
+    raised = {(p_, k_, n_): sum((adj[p_][q] * first[(q, k_, n_)] for q in range(n)), Poly.zero())
+              for p_, k_, n_ in triples}
 
     def comp(idx):
         m_, k_, n_, l_ = idx
-        lhs = (k[(m_, k_)].diff(_x(n_ + 1)).diff(_x(l_ + 1))
-               - k[(m_, n_)].diff(_x(k_ + 1)).diff(_x(l_ + 1))) * s
-        total = det * lhs
-        for p_ in range(n):
-            for q_ in range(n):
-                total = total + adj[p_][q_] * first(p_, l_, m_) * first(q_, k_, n_) \
-                    * Fraction(1, 3)
-        return total
+        lhs = (d2[idx] - d2[(m_, n_, k_, l_)]) * s
+        return det * lhs + sum((first[(p_, l_, m_)] * raised[(p_, k_, n_)] for p_ in range(n)),
+                               Poly.zero()) * Fraction(1, 3)
 
     return TensorField.from_function(n, (0, 4), comp)

@@ -208,6 +208,13 @@ class TestSystemTable:
                 imported |= set((node.module or "").split(".")) | {a.name for a in node.names}
         assert not imported & {"checks", "cli"}
 
+    def test_family_parameters_are_the_bs_of_the_matrix(self):
+        indices = {name: [p.index for p in fam.params]
+                   for name, (_, fam) in checks.catalog().items()}
+        assert indices == {"sw1": [1, 2, 3, 4, 5, 6], "oscillator": [1, 2, 3, 4, 5, 6],
+                           "oo": [1, 2, 3, 4, 5, 6], "iv": [1, 2, 3, 4, 5, 6],
+                           "nonmaximal-3d": [1, 2, 3, 5]}
+
     def test_radical_generators_are_cubics_in_b(self):
         params = {var(f"b{i}") for i in range(1, 7)}
         for row in checks.SYSTEMS.values():

@@ -13,7 +13,7 @@ from haantjeskit.checks import catalog
 from haantjeskit.killing import (KillingError, KillingFamily, compatible_family,
                                  killing_residual, killing_space, span_equal,
                                  PotentialSpec)
-from haantjeskit.symalg import Poly, parse_poly, var
+from haantjeskit.symalg import Poly, monomial, parse_poly, var
 from haantjeskit.tensor import TensorField
 
 
@@ -45,6 +45,37 @@ def flat_killing_one_forms(n):
                 return Poly.zero()
             forms.append(TensorField.from_function(n, (0, 1), comp))
     return forms
+
+
+def random_symmetric_laurent(rng, n):
+    """A symmetric (0,2) tensor on R^n whose entries have 1 to 3 terms
+    in x1..xn, with exponents -2..2 and small rational coefficients."""
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            entries[(i, j)] = Poly(
+                (monomial({var(f"x{s + 1}"): rng.randint(-2, 2) for s in range(n)}),
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3)))
+    return TensorField.from_function(n, (0, 2), lambda idx: entries[tuple(sorted(idx))])
+
+
+class TestKillingResidual:
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 4)])
+    def test_non_killing_tensor_matches_sympy(self, seed, n):
+        # K_(ij,m) = d_m K_ij + d_i K_jm + d_j K_mi, component by component
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x1:{n + 1}")
+        k = random_symmetric_laurent(random.Random(seed), n)
+        mat = [[sympy.sympify(str(k[(i, j)]).replace("^", "**")) for j in range(n)]
+               for i in range(n)]
+        r = killing_residual(k)
+        assert not r.is_zero()
+        for i, j, m in itertools.product(range(n), repeat=3):
+            expected = (sympy.diff(mat[i][j], xs[m]) + sympy.diff(mat[j][m], xs[i])
+                        + sympy.diff(mat[m][i], xs[j]))
+            got = sympy.sympify(str(r[(i, j, m)]).replace("^", "**"))
+            assert sympy.expand(got - expected) == 0
 
 
 class TestKillingSpace:

@@ -1,6 +1,7 @@
 """Phase-space mechanics: brackets, integrals of motion, structural
 tensors and the quadratic-bracket compatibility condition."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from haantjeskit import checks, linalg
 from haantjeskit.checks import catalog
 from haantjeskit.haantjes import as_operator, haantjes
-from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
+from haantjeskit.killing import killing_residual
+from haantjeskit.mechanics import (DegenerateK, MechanicsError, NonUniqueSolution,
                                    NotCompatible, abundant_haantjes, build_integral,
                                    condition_6b, functional_independence,
                                    haantjes_at, haantjes_kernel, hamiltonian,
@@ -17,6 +19,7 @@ from haantjeskit.mechanics import (DegenerateK, NonUniqueSolution,
 from haantjeskit.symalg import Poly, monomial, parse_poly, var
 from haantjeskit.tensor import TensorError, TensorField
 from .test_haantjes import lie_bracket_torsions
+from .test_killing import random_symmetric_laurent
 from .test_tensor import identity_operator
 
 
@@ -299,6 +302,19 @@ class TestStructuralTensor:
             p = structural_tensor_at(fam, x0)
             assert abundant_haantjes(p, k, x0) == haantjes_at(k, x0)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_point_of_the_wrong_length_rejected(self, length):
+        _, fam = catalog()["sw1"]
+        k = fam.specialize({var(f"b{i}"): Fraction(i) for i in range(1, 7)})
+        p = structural_tensor_at(fam, [Fraction(1), Fraction(2), Fraction(3)])
+        x0 = [Fraction(s + 1) for s in range(length)]
+        with pytest.raises(MechanicsError):
+            structural_tensor_at(fam, x0)
+        with pytest.raises(MechanicsError):
+            haantjes_at(k, x0)
+        with pytest.raises(MechanicsError):
+            abundant_haantjes(p, k, x0)
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_abundant_formula_matches_lie_bracket_oracle(self, seed):
         # haantjes_at and the kernel both run haantjes.haantjes, so the
@@ -315,7 +331,7 @@ class TestStructuralTensor:
                       sympy.QQ(q.numerator, q.denominator)) for s, q in enumerate(x0)]
             for (i, j, kk), v in haa.items():
                 value = v.evaluate(point)
-                assert h[i][j][kk] == Fraction(int(value.numerator), int(value.denominator))
+                assert h[(i * 3 + j) * 3 + kk] == Fraction(int(value.numerator), int(value.denominator))
 
     @pytest.mark.parametrize("name", ABUNDANT)
     def test_kernel_depends_only_on_p(self, name):
@@ -364,6 +380,47 @@ class TestCondition6b:
                             for i, v in enumerate((0, 0, 1, 2, 2, 4))})
         for norm in ("half", "raw"):
             assert not condition_6b(k, normalization=norm).is_zero()
+
+    @pytest.mark.parametrize("kind", ["sw1-member", "laurent"])
+    def test_matches_sympy_transcription(self, kind):
+        # det K * K_{m[k,n]l} + 1/3 Adj^{pq} K_{p[l,m]} K_{q[k,n]} for all
+        # 81 components, with sympy's det, adjugate and diff over Q(x)
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(8)
+        if kind == "sw1-member":
+            k = catalog()["sw1"][1].specialize(
+                {var(f"b{i}"): random_rational(rng) for i in range(1, 7)})
+        else:
+            k = random_symmetric_laurent(rng, 3)
+            assert not killing_residual(k).is_zero()
+        field = sympy.QQ.frac_field(*sympy.symbols("x1:4"))
+        xs, ring = field.gens, field.field.ring
+
+        def elem(f):  # a polynomial over one monomial, divided once
+            exps = {m: [dict(m).get(var(f"x{i}"), 0) for i in (1, 2, 3)] for m in f.terms}
+            low = [min([0] + [e[i] for e in exps.values()]) for i in range(3)]
+            numer = ring.from_dict({tuple(a - b for a, b in zip(exps[m], low)):
+                                    sympy.QQ(q.numerator, q.denominator)
+                                    for m, q in f.terms.items()})
+            return field.field(numer) / field.field(ring.from_dict({tuple(-b for b in low): 1}))
+
+        mat = DomainMatrix([[elem(k[(i, j)]) for j in range(3)] for i in range(3)],
+                           (3, 3), field)
+        det, adj = mat.det(), mat.adjugate()
+        for norm, s in (("half", field.convert(sympy.Rational(1, 2))), ("raw", field.one)):
+            got = condition_6b(k, normalization=norm)
+            first = {(p, l, m): s * (mat[p, l].element.diff(xs[m])  # K_{p[l,m]}
+                                     - mat[p, m].element.diff(xs[l]))
+                     for p, l, m in itertools.product(range(3), repeat=3)}
+            for m, kk, nn, l in itertools.product(range(3), repeat=4):
+                lhs = s * (mat[m, kk].element.diff(xs[nn]).diff(xs[l])
+                           - mat[m, nn].element.diff(xs[kk]).diff(xs[l]))
+                expected = det * lhs + sum(
+                    (adj[p, q].element * first[(p, l, m)] * first[(q, kk, nn)]
+                     for p in range(3) for q in range(3)), field.zero) / 3
+                assert elem(got[(m, kk, nn, l)]) == expected
 
     def test_degenerate_tensor_rejected(self):
         k = TensorField.zero(3, (0, 2))
