@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .symalg import Monomial, Poly, VarId, _var_key
-from .tensor import TensorField, TensorError, exterior_derivative, partial_derivative
+from .tensor import TensorField, TensorError, exterior_derivative
 
 
 def as_operator(k: TensorField) -> TensorField:
@@ -35,9 +35,13 @@ def _require_operator(a: TensorField) -> None:
 # digits so that Laurent exponents need no offset, and a coefficient q is
 # the int q*D over the operator's common denominator D.  A monomial
 # product is then one int addition and a coefficient product one int
-# product.  Every kernel monomial is a product of at most four factors
+# product.  Unless the caller passes a derivative layer, dA is read off
+# A's own keys: a term c*m of A^i_j with x_k^e in m gives the term c*e
+# of dA^i_j/dx_k at key(m) - 2^(w*pos_{x_k}), which lowers the x_k digit
+# by one.  Every kernel monomial is a product of at most four factors
 # from A and dA, so w is chosen with 2^(w-1) > 4*E for the largest
-# |exponent| E in A and dA, and no digit ever overflows.
+# |exponent| E in A and dA (without a layer, the largest of |e| and
+# |e - 1| over A's exponents e), and no digit ever overflows.
 IntTerms = Dict[int, int]
 
 
@@ -73,30 +77,48 @@ def _difference(p: IntTerms, q: IntTerms) -> IntTerms:
     return acc
 
 
-def _encode(a: TensorField, da: TensorField):
-    """A and its derivative layer da, da[(i, j, k)] = dA^i_j/dx_k, as
-    int term maps, at[i][j] for A^i_j and grad[i][j][k] for
-    da[(i, j, k)], both scaled by D, and `decode(terms, p)`, the Poly
-    of an int term map scaled by D^p.  Each distinct key is decoded
-    once per call."""
+def _encode(a: TensorField, da: Optional[TensorField] = None):
+    """A and its derivative layer, as int term maps, at[i][j] for A^i_j
+    and grad[i][j][k] for dA^i_j/dx_k, both scaled by D, and
+    `decode(terms, p)`, the Poly of an int term map scaled by D^p.  The
+    layer is da, da[(i, j, k)] read as dA^i_j/dx_k, or by default the
+    derivative of A taken from A's own terms.  Each distinct key is
+    decoded once per call."""
     _require_operator(a)
     n = a.n
     r = range(n)
-    polys = a.components + da.components
-    keys = [m for p in polys for m in p.terms]
-    variables = sorted({v for m in keys for v, _ in m}, key=_var_key)
-    top = max((abs(e) for m in keys for _, e in m), default=0)
+    polys = a.components if da is None else a.components + da.components
+    exps = [e for p in polys for m in p.terms for _, e in m]
+    if da is None:  # a derivative lowers one exponent by one
+        exps += [e - 1 for e in exps]
+    top = max(map(abs, exps), default=0)
     width = (4 * top).bit_length() + 1
+    variables = sorted({v for p in polys for m in p.terms for v, _ in m}, key=_var_key)
     shift = {v: width * pos for pos, v in enumerate(variables)}
     den = math.lcm(*(q.denominator for p in polys for q in p.terms.values()))
+    coordinate = {VarId("x", k + 1): k for k in r}
 
-    def encode(p: Poly) -> IntTerms:
-        return {sum(e << shift[v] for v, e in m): q.numerator * (den // q.denominator)
-                for m, q in p.terms.items()}
+    def encode(p: Poly, grads=None) -> IntTerms:
+        """p as an int term map; with grads, also adds dp/dx_k to
+        grads[k] for each coordinate x_k."""
+        out = {}
+        for m, q in p.terms.items():
+            key = sum(e << shift[v] for v, e in m)
+            c = out[key] = q.numerator * (den // q.denominator)
+            if grads is not None:
+                for v, e in m:
+                    k = coordinate.get(v)
+                    if k is not None:
+                        grads[k][key - (1 << shift[v])] = c * e
+        return out
 
-    encoded = map(encode, polys)  # row-major, the order read below
-    at = [[next(encoded) for j in r] for i in r]
-    grad = [[[next(encoded) for k in r] for j in r] for i in r]
+    if da is None:
+        grad = [[[{} for k in r] for j in r] for i in r]
+        at = [[encode(a.components[i * n + j], grad[i][j]) for j in r] for i in r]
+    else:
+        encoded = map(encode, polys)  # row-major, the order read below
+        at = [[next(encoded) for j in r] for i in r]
+        grad = [[[next(encoded) for k in r] for j in r] for i in r]
 
     mask = (1 << width) - 1
     half = 1 << (width - 1)
@@ -170,7 +192,7 @@ def nijenhuis(a: TensorField) -> TensorField:
     coefficient map per component; N^i_kj is filled in as -N^i_jk and
     the diagonal N^i_jj is zero.
     """
-    at, grad, decode = _encode(a, partial_derivative(a))
+    at, grad, decode = _encode(a)
     nt = _nijenhuis(a.n, at, grad)
     return _skew_tensor(a.n, lambda i, j, k: decode(nt[i][j][k], 2))
 
@@ -193,13 +215,13 @@ def haantjes(a: TensorField) -> TensorField:
     -H^i_jk and the diagonal H^i_jj is zero.  Over the common
     denominator D, N is scaled by D^2, A^2 by D^2, Q by D^3 and H by D^4.
     """
-    return _haantjes(a, partial_derivative(a))
+    return _haantjes(a)
 
 
-def _haantjes(a: TensorField, da: TensorField) -> TensorField:
-    """The Haantjes torsion of the 1-jet (A, dA) at a point: the formula
-    of `haantjes` with da[(i, j, k)] read as dA^i_j/dx_k, whether or not
-    da is the derivative of a."""
+def _haantjes(a: TensorField, da: Optional[TensorField] = None) -> TensorField:
+    """The formula of `haantjes`; given da, the Haantjes torsion of the
+    1-jet (A, dA) at a point, with da[(i, j, k)] read as dA^i_j/dx_k,
+    whether or not da is the derivative of a."""
     n = a.n
     r = range(n)
     at, grad, decode = _encode(a, da)
@@ -224,8 +246,9 @@ def pullback_differential(a: TensorField, u: Poly) -> TensorField:
     _require_operator(a)
     n = a.n
     grads = [u.diff(VarId("x", s + 1)) for s in range(n)]
+    nonzero = [(s, g) for s, g in enumerate(grads) if g.terms]  # a zero du/dx_a adds nothing
     return TensorField(n, (0, 1), [
-        sum((a.components[s * n + k] * grads[s] for s in range(n)), Poly.zero())
+        sum((a.components[s * n + k] * g for s, g in nonzero), Poly.zero())
         for k in range(n)])
 
 

@@ -166,13 +166,13 @@ def exponent(m: Monomial, v: VarId) -> int:
 def mono_sort_key(m: Monomial):
     # Graded ordering on the canonical variable sequence; used only for
     # deterministic printing.
-    return (-sum(e for _, e in m), tuple((_var_key(v), -e) for v, e in m))
+    return (-sum(e for _, e in m), tuple((_NS_RANK[ns], i, -e) for (ns, i), e in m))
 
 
 def mono_str(m: Monomial) -> str:
     if not m:
         return "1"
-    return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in m)
+    return "*".join(f"{ns}{i}" if e == 1 else f"{ns}{i}^{e}" for (ns, i), e in m)
 
 
 Scalar = Union[int, Fraction]
@@ -310,10 +310,11 @@ class Poly:
         # Distinct terms have distinct derivatives, so nothing collects.
         acc: Dict[Monomial, Fraction] = {}
         for m, q in self.terms.items():
-            e = exponent(m, v)
-            if e:
-                acc[tuple((w, k - 1) if w == v else (w, k)
-                          for w, k in m if w != v or k != 1)] = q * e
+            for pos, (w, e) in enumerate(m):
+                if w == v:
+                    lowered = ((v, e - 1),) if e != 1 else ()
+                    acc[m[:pos] + lowered + m[pos + 1:]] = q * e
+                    break
         return Poly._raw(acc)
 
     def integrate(self, v: VarId) -> "Poly":
@@ -405,11 +406,12 @@ class Poly:
         chunks = []
         try:
             for i, (m, q) in enumerate(items):
-                sign = "-" if q < 0 else "+"
-                mag = abs(q)
+                num, den = q.numerator, q.denominator
+                sign = "-" if num < 0 else "+"
+                mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
                 if not m:
-                    body = str(mag)
-                elif mag == 1:
+                    body = mag
+                elif mag == "1":
                     body = mono_str(m)
                 else:
                     body = f"{mag}*{mono_str(m)}"

@@ -120,13 +120,19 @@ def partial_derivative(t: TensorField) -> TensorField:
 
 def exterior_derivative(w: TensorField) -> TensorField:
     """d of a 1-form: the antisymmetric (0,2) tensor with components
-    (dw)_jk = dw_k/dx_j - dw_j/dx_k."""
+    (dw)_jk = dw_k/dx_j - dw_j/dx_k, computed for j < k; (dw)_kj is
+    -(dw)_jk and the diagonal is zero."""
     if w.valence != (0, 1):
         raise TensorError(f"expected a 1-form, got valence {w.valence}")
     n = w.n
     dw = partial_derivative(w).components  # dw[k * n + j] = d w_k / dx_j
-    return TensorField(n, (0, 2), [dw[k * n + j] - dw[j * n + k]
-                                   for j in range(n) for k in range(n)])
+    comps = [Poly.zero()] * (n * n)
+    for j in range(n):
+        for k in range(j + 1, n):
+            value = dw[k * n + j] - dw[j * n + k]
+            comps[j * n + k] = value
+            comps[k * n + j] = -value
+    return TensorField(n, (0, 2), comps)
 
 
 def hessian_operator(f: Poly, n: int) -> TensorField:
@@ -142,6 +148,8 @@ def hessian_operator(f: Poly, n: int) -> TensorField:
         raise TensorError(f"generator uses {', '.join(stray)}, not among "
                           f"the coordinates x1..x{n}")
     grads = [f.diff(VarId("x", i + 1)) for i in range(n)]
-    return TensorField.from_function(
-        n, (1, 1), lambda ij: grads[ij[0]].diff(VarId("x", ij[1] + 1)))
-
+    comps = [Poly.zero()] * (n * n)
+    for i in range(n):  # the upper triangle, shared with its mirror
+        for j in range(i, n):
+            comps[i * n + j] = comps[j * n + i] = grads[i].diff(VarId("x", j + 1))
+    return TensorField(n, (1, 1), comps)

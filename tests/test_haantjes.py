@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from haantjeskit.haantjes import (as_operator, conservation_check, haantjes,
+from haantjeskit.haantjes import (_encode, _haantjes, _nijenhuis, _skew_tensor,
+                                  as_operator, conservation_check, haantjes,
                                   is_haantjes_zero, nijenhuis,
                                   pullback_differential)
 from haantjeskit.checks import catalog
@@ -302,6 +303,89 @@ class TestIntegerKernels:
         a = matrix_operator(rows)
         self.assert_matches(a)
         assert nijenhuis(a).is_zero() and haantjes(a).is_zero()
+
+
+class TestEncodedDerivative:
+    """Without a derivative layer, the kernels read dA off A's own int
+    keys; each torsion must equal the kernel run on the encoded
+    `partial_derivative(a)`."""
+
+    @staticmethod
+    def laurent_operator(seed, n):
+        """Up to three terms per entry: x-exponents -3..3, so a digit
+        must also hold the |e - 1| = 4 of a derivative, b1 and b2 up
+        to degree 2, and denominators up to 4."""
+        rng = random.Random(seed)
+        variables = [var(f"x{s + 1}") for s in range(n)] + [var("b1"), var("b2")]
+
+        def entry(_):
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                exps = {v: rng.randint(-3, 3) if v.ns == "x" else rng.randint(0, 2)
+                        for v in rng.sample(variables, rng.randint(0, 3))}
+                terms[monomial(exps)] = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+            return Poly(terms)
+
+        return TensorField.from_function(n, (1, 1), entry)
+
+    @staticmethod
+    def assert_matches(a):
+        da = partial_derivative(a)
+        assert haantjes(a) == _haantjes(a, da)
+        at, grad, decode = _encode(a, da)
+        nt = _nijenhuis(a.n, at, grad)
+        assert nijenhuis(a) == _skew_tensor(a.n, lambda i, j, k: decode(nt[i][j][k], 2))
+
+    SEEDS = [(seed, n) for n in (2, 3, 4) for seed in range(4)]
+
+    @pytest.mark.parametrize("seed,n", SEEDS)
+    def test_seeded_laurent_operators(self, seed, n):
+        self.assert_matches(self.laurent_operator(seed, n))
+
+    def test_seeded_operators_reach_the_extremes(self):
+        exps = [(v.ns, e) for seed, n in self.SEEDS
+                for c in self.laurent_operator(seed, n).components
+                for m in c.terms for v, e in m]
+        assert min(e for ns, e in exps if ns == "x") == -3
+        assert max(e for ns, e in exps if ns == "b") == 2
+
+    def test_lowest_exponent_in_every_entry(self):
+        # Every x-exponent of A is -3, so dA holds x_k^-4, one below any
+        # exponent of A; H reaches x1^-12.
+        a = matrix_operator([
+            ["x1^-3", "b1*x2^-3", "x3^-3"],
+            ["x2^-3*x3^-3", "-2/3*x1^-3*x2^-3", "b2^2*x3^-3"],
+            ["x1^-3*x3^-3", "x2^-3", "5*x1^-3*x2^-3*x3^-3"]])
+        self.assert_matches(a)
+        TestReferenceSums.assert_matches(a)
+        assert min(exponent(m, var("x1")) for c in haantjes(a).components
+                   for m in c.terms) == -12
+
+    def test_positions_beyond_the_dimension_are_constants(self):
+        # On R^2, x3 is not a coordinate: dA has no x3-derivative.
+        a = matrix_operator([["x3^-2*x1", "x2*x3"], ["x1^2*x3^3", "x3^-1*p1"]])
+        self.assert_matches(a)
+        assert not nijenhuis(a).is_zero()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_and_constant_operators(self, n):
+        zero = TensorField.zero(n, (1, 1))
+        constant = TensorField.from_function(
+            n, (1, 1), lambda ij: Poly.const(Fraction(ij[0] - 2 * ij[1], ij[0] + 1)))
+        for a in (zero, constant):
+            self.assert_matches(a)
+            assert nijenhuis(a).is_zero() and haantjes(a).is_zero()
+
+    def test_torsions_make_no_diff_call(self, monkeypatch):
+        a = seeded_hessian(0, 4)
+        expected = (nijenhuis(a), haantjes(a))
+        assert not expected[0].is_zero()
+
+        def refuse(self, v):
+            raise AssertionError("Poly.diff called")
+
+        monkeypatch.setattr(Poly, "diff", refuse)
+        assert (nijenhuis(a), haantjes(a)) == expected
 
 
 class TestAlgebraicProperties:

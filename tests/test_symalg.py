@@ -28,15 +28,23 @@ LAURENT_XB = [var(s) for s in ("x1", "x2", "x3", "b1", "b2")]
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def random_laurent(rng, max_terms=5):
+def random_laurent(rng, max_terms=5, variables=LAURENT_XB):
     """Poly built only by the validating public constructors: exponents
     in -2..3 on x-variables and 0..3 on b-variables."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exps = {v: rng.randint(-2 if v.ns == "x" else 0, 3)
-                for v in rng.sample(LAURENT_XB, rng.randint(0, 3))}
+                for v in rng.sample(variables, rng.randint(0, 3))}
         terms[monomial(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return Poly(terms)
+
+
+def sympy_expr(sympy, p):
+    """The sympy expression of p, built from its term map rather than
+    from its printed text."""
+    return sympy.Add(*(sympy.Rational(q.numerator, q.denominator)
+                       * sympy.Mul(*(sympy.Symbol(str(v)) ** e for v, e in m))
+                       for m, q in p.terms.items()))
 
 
 def public(pairs):
@@ -262,6 +270,28 @@ class TestStr:
     def test_zero(self):
         assert str(Poly.zero()) == "0"
 
+    def test_laurent_round_trip(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            p = random_laurent(rng)
+            assert parse_poly(str(p)) == p
+
+    @pytest.mark.parametrize("text, printed", [
+        ("x2 - 3*x1^2", "-3*x1^2 + x2"),  # negative leading term
+        ("-x1", "-x1"),  # coefficient -1, leading
+        ("-x1 + x2*x3", "x2*x3 - x1"),  # coefficient -1, later
+        ("x3 + x1*x2", "x1*x2 + x3"),  # coefficient 1
+        ("5/7*b1 - 2/3*x1", "-2/3*x1 + 5/7*b1"),  # rational magnitudes
+        ("1 + b1 - x1", "-x1 + b1 + 1"),  # constant term last
+        ("x1 - 1/2", "x1 - 1/2"),
+        ("-7/3", "-7/3"),
+        ("-1", "-1"),
+        ("x1^-2 + x2", "x2 + x1^-2"),  # negative exponent, degree -2 last
+        ("3/2*x2^-3 - x1^-1*p1", "-x1^-1*p1 + 3/2*x2^-3"),
+    ])
+    def test_fixed_strings(self, text, printed):
+        assert str(parse_poly(text)) == printed
+
     @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int-string digit limit")
     @pytest.mark.parametrize("monomial", [monomial({}), monomial({var("x1"): 1})])
     def test_overlong_coefficient_rejected(self, monomial):
@@ -423,3 +453,14 @@ class TestSympyOracle:
             assert sympy.expand(expr(f - g) - (ef - eg)) == 0
             v = rng.choice(LAURENT_XB)
             assert sympy.expand(expr(f.diff(v)) - sympy.diff(ef, sympy.Symbol(str(v)))) == 0
+
+    def test_diff(self):
+        # built from the term maps, so the printer is no part of it
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for _ in range(40):
+            f = random_laurent(rng)
+            ef = sympy_expr(sympy, f)
+            for v in LAURENT_XB:
+                want = sympy.diff(ef, sympy.Symbol(str(v)))
+                assert sympy.expand(sympy_expr(sympy, f.diff(v)) - want) == 0

@@ -7,7 +7,7 @@ import pytest
 from haantjeskit.symalg import Poly, parse_poly, var
 from haantjeskit.tensor import (TensorError, TensorField, exterior_derivative,
                                 hessian_operator, partial_derivative)
-from .test_symalg import random_poly
+from .test_symalg import random_laurent, random_poly, sympy_expr
 
 XS = [var(s) for s in ("x1", "x2", "x3")]
 
@@ -103,3 +103,39 @@ class TestHessian:
         with pytest.raises(TensorError):
             hessian_operator(parse_poly(text), n)
 
+
+class TestSympyOracle:
+    """d of a 1-form and the Hessian against sympy's diff and hessian,
+    on expressions built from the term maps."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exterior_derivative(self, n):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(40 + n)
+        xs = [var(f"x{k + 1}") for k in range(n)]
+        syms = [sympy.Symbol(str(x)) for x in xs]
+        for _ in range(5):
+            w = TensorField(n, (0, 1), [random_laurent(rng, 3, xs + [var("b1")]) for _ in xs])
+            d = exterior_derivative(w)
+            for j in range(n):
+                assert d[(j, j)].is_zero()
+                for k in range(n):
+                    assert d[(j, k)] == -d[(k, j)]
+                    want = (sympy.diff(sympy_expr(sympy, w[k]), syms[j])
+                            - sympy.diff(sympy_expr(sympy, w[j]), syms[k]))
+                    assert sympy.expand(sympy_expr(sympy, d[(j, k)]) - want) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hessian_operator(self, n):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(50 + n)
+        xs = [var(f"x{k + 1}") for k in range(n)]
+        syms = [sympy.Symbol(str(x)) for x in xs]
+        for _ in range(5):
+            f = random_poly(rng, xs, max_terms=4, max_degree=4)
+            h = hessian_operator(f, n)
+            want = sympy.hessian(sympy_expr(sympy, f), syms)
+            for i in range(n):
+                for j in range(n):
+                    assert h[(i, j)] == h[(j, i)]
+                    assert sympy.expand(sympy_expr(sympy, h[(i, j)]) - want[i, j]) == 0
